@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "sim/commit_log.h"
 #include "sim/config.h"
 #include "sim/stats.h"
 
@@ -39,9 +40,9 @@ struct LabyrinthResult {
     uint64_t tokensConsumed = 0; //!< initial - final grid tokens
     bool overlapFree = true;     //!< no cell claimed by two routes
     uint64_t numPathsTotal = 0;
-    /** Serialized commit log (empty unless recording was enabled);
-     *  determinism tests diff it across same-seed runs. */
-    std::vector<uint8_t> commitLog;
+    /** Commit records (empty unless recording was enabled);
+     *  determinism tests diff them across same-seed runs. */
+    std::vector<CommitRecord> commitLog;
 
     bool
     valid() const

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "sim/commit_log.h"
 #include "sim/config.h"
 #include "sim/stats.h"
 
@@ -37,9 +38,9 @@ struct YadaResult {
     int64_t expectedMinQuality = 0;
     uint64_t duplicates = 0;        //!< elements seen already refined
     uint64_t queueLeftover = 0;
-    /** Serialized commit log (empty unless recording was enabled);
-     *  determinism tests diff it across same-seed runs. */
-    std::vector<uint8_t> commitLog;
+    /** Commit records (empty unless recording was enabled);
+     *  determinism tests diff them across same-seed runs. */
+    std::vector<CommitRecord> commitLog;
 
     bool
     valid() const

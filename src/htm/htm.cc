@@ -11,7 +11,6 @@
 #include <cassert>
 
 #include "sim/check.h"
-#include "sim/commit_log.h"
 
 namespace commtm {
 
@@ -110,7 +109,7 @@ HtmManager::lazyArbitrate(CoreId committer)
 }
 
 Cycle
-HtmManager::commit(CoreId core, Cycle now)
+HtmManager::commit(CoreId core)
 {
     Tx &tx = txs_[core];
     COMMTM_CHECK(tx.active, "commit on core %u with no transaction",
@@ -148,11 +147,6 @@ HtmManager::commit(CoreId core, Cycle now)
     // to lines this core holds in U commit into the core's reducible
     // copy; everything else commits into simulated memory (Fig. 5).
     tx.wb.forEach([&](Addr line, const WriteBuffer::Entry &e) {
-        // Observation-only recording: labeled lines commit into U
-        // partials whose bytes are order-dependent; the write digest
-        // covers only the conventional write set.
-        if (log_ && !tx.labeledSet.contains(line))
-            log_->noteWriteLine(core, line, e.mask, e.data.data());
         if (mem_.coreHasU(core, line)) {
             LineData &copy = mem_.uCopy(core, line);
             for (size_t i = 0; i < kLineSize; i++) {
@@ -171,10 +165,6 @@ HtmManager::commit(CoreId core, Cycle now)
     tx.wb.clear();
     releaseSpecSets(tx, core);
     tx.active = false;
-    // Seal inside commit: this function runs atomically in simulated
-    // time, so the sealed order is the functional commit order.
-    if (log_)
-        log_->sealCommit(core, now);
     return publish_latency;
 }
 
@@ -184,8 +174,6 @@ HtmManager::abortAttempt(CoreId core, AbortCause cause, Rng &rng)
     (void)cause;
     Tx &tx = txs_[core];
     assert(tx.active);
-    if (log_)
-        log_->abortAttempt(core); // discard the attempt's digests
     tx.wb.clear();
     releaseSpecSets(tx, core);
     tx.active = false;

@@ -22,19 +22,15 @@
 
 namespace commtm {
 
-class CommitLog;
-
 /**
  * Per-machine transaction manager. One transaction context per core
  * (the paper's HTM is single-transaction-per-hardware-thread).
  *
- * HtmManager is the only production implementation of HtmHooks and is
- * final: MemorySystem dispatches to it directly on the access fast
- * path (see MemorySystem::setHtmManager), devirtualizing the hook
- * calls. The HtmHooks interface remains for tests that install
- * instrumented hooks.
+ * MemorySystem holds a pointer to it and calls the inline protocol
+ * methods below (inTx, txTs, specModified, remoteAbort, noteSpecLine)
+ * directly on the access fast path.
  */
-class HtmManager final : public HtmHooks
+class HtmManager
 {
   public:
     HtmManager(const MachineConfig &cfg, MemorySystem &mem,
@@ -62,14 +58,11 @@ class HtmManager final : public HtmHooks
      * Both walks visit lines in ascending address order, so victim
      * order and publication order are platform-independent.
      *
-     * Commit is atomic in simulated time (no yields), so when a
-     * CommitLog is attached the record sealed here lands in exact
-     * functional commit order. @p now (the committer's cycle) is
-     * recorded as the commit cycle; it never affects behavior.
+     * Commit is atomic in simulated time (no yields).
      * @return extra commit latency (lazy write publication); 0 in
      *         eager mode, where the writes already own their lines.
      */
-    Cycle commit(CoreId core, Cycle now = 0);
+    Cycle commit(CoreId core);
 
     /**
      * Locally abort the current attempt: discard the write buffer,
@@ -96,38 +89,43 @@ class HtmManager final : public HtmHooks
 
     WriteBuffer &writeBuffer(CoreId core) { return txs_[core].wb; }
 
-    /** Attach the machine's commit log (nullptr = recording off).
-     *  Observation-only: commit() additionally folds the committed
-     *  conventional write-buffer lines into the log and seals the
-     *  record. */
-    void setCommitLog(CommitLog *log) { log_ = log; }
-
-    // --- HtmHooks (called by the coherence protocol) ---
-    // Inline and final: MemorySystem's direct-dispatch path relies on
-    // these bodies being visible and non-virtual at the call site.
+    /** @p line is in @p core's labeled (commutative) set. */
     bool
-    inTx(CoreId c) const final
+    inLabeledSet(CoreId core, Addr line) const
+    {
+        return txs_[core].labeledSet.contains(line);
+    }
+
+    // --- called by the coherence protocol (MemorySystem) ---
+
+    /** Core @p c runs an active, not-yet-doomed transaction. */
+    bool
+    inTx(CoreId c) const
     {
         return txs_[c].active && !txs_[c].doomed;
     }
 
+    /** Timestamp of @p c's transaction (valid when active). */
     Timestamp
-    txTs(CoreId c) const final
+    txTs(CoreId c) const
     {
         assert(txs_[c].active);
         return txs_[c].ts;
     }
 
+    /** @p c's transaction has buffered speculative writes to @p line. */
     bool
-    specModified(CoreId c, Addr line) const final
+    specModified(CoreId c, Addr line) const
     {
         return txs_[c].active && txs_[c].wb.touches(line);
     }
 
-    void remoteAbort(CoreId victim, AbortCause cause) final;
+    /** Doom @p victim's transaction (it aborts when next scheduled). */
+    void remoteAbort(CoreId victim, AbortCause cause);
 
+    /** A speculative-access bit was newly set for (core, line). */
     void
-    noteSpecLine(CoreId c, Addr line, SpecKind kind) final
+    noteSpecLine(CoreId c, Addr line, SpecKind kind)
     {
         Tx &tx = txs_[c];
         assert(tx.active);
@@ -177,7 +175,6 @@ class HtmManager final : public HtmHooks
     const MachineConfig &cfg_;
     MemorySystem &mem_;
     SimMemory &memory_;
-    CommitLog *log_ = nullptr;
     std::vector<Tx> txs_;
     Timestamp nextTs_ = 1;
 };

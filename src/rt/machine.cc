@@ -28,6 +28,10 @@ static constexpr uint32_t kDefaultCrossCheckEvery = 1024;
 static constexpr uint32_t kDefaultCrossCheckEvery = 0;
 #endif
 
+/** Cycles between the periodic invariant sweeps that checkInvariants
+ *  enables. */
+static constexpr Cycle kInvariantPeriod = 100000;
+
 Machine::Machine(MachineConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), labels_(cfg.hwLabels)
 {
@@ -44,10 +48,8 @@ Machine::Machine(MachineConfig cfg)
     // COMMTM_RECORD_COMMITS forces observation-only commit recording
     // on for any run (the CI oracle legs use it to prove the baseline
     // wall is bit-identical with the log enabled).
-    if (cfg_.recordCommits || std::getenv("COMMTM_RECORD_COMMITS")) {
+    if (cfg_.recordCommits || std::getenv("COMMTM_RECORD_COMMITS"))
         commitLog_ = std::make_unique<CommitLog>(cfg_.numCores);
-        htm_->setCommitLog(commitLog_.get());
-    }
     // COMMTM_CAPTURE_TRACE forces observation-only trace capture on
     // for any run (the CI baseline legs use it to prove the wall is
     // bit-identical with the hooks live). Any value enables capture;
@@ -63,33 +65,25 @@ Machine::Machine(MachineConfig cfg)
         }
     }
     // COMMTM_CHECK_INVARIANTS forces observation-only invariant sweeps
-    // on for any run: any value enables the periodic sweeps, "commit"
-    // adds transaction-boundary sweeps, "drain" adds both those and
-    // end-of-drain-loop sweeps (fuzz-scale machines only; see
-    // MachineConfig). mem_/htm_ hold references to this cfg_, so the
-    // upgraded knobs are visible to them.
+    // on for any run: any value enables the periodic sweeps, and
+    // "drain" adds the dense ones at every commit, abort and drain-loop
+    // end (fuzz-scale machines only; see MachineConfig). mem_/htm_
+    // hold references to this cfg_, so the upgraded knobs are visible
+    // to them.
     if (const char *env = std::getenv("COMMTM_CHECK_INVARIANTS")) {
         cfg_.checkInvariants = true;
-        if (std::strcmp(env, "commit") == 0) {
-            cfg_.invariantOnTxEnd = true;
-        } else if (std::strcmp(env, "drain") == 0) {
-            cfg_.invariantOnTxEnd = true;
-            cfg_.invariantOnDrain = true;
-        }
+        if (std::strcmp(env, "drain") == 0)
+            cfg_.denseInvariants = true;
     }
     if (cfg_.checkInvariants) {
         invariants_ =
             std::make_unique<InvariantChecker>(cfg_, *mem_, *htm_);
-        if (cfg_.invariantOnDrain)
+        if (cfg_.denseInvariants)
             mem_->setInvariantChecker(invariants_.get());
     }
-    // COMMTM_SCHED_CROSSCHECK=<n> overrides the cross-check cadence
-    // for any run (n resumes per reference-scan comparison; 0 off).
     crossCheckEvery_ = cfg_.schedCrossCheckEvery
                            ? cfg_.schedCrossCheckEvery
                            : kDefaultCrossCheckEvery;
-    if (const char *env = std::getenv("COMMTM_SCHED_CROSSCHECK"))
-        crossCheckEvery_ = uint32_t(std::strtoul(env, nullptr, 10));
 }
 
 Machine::~Machine() = default;
@@ -251,11 +245,9 @@ Machine::run()
         }
         // Scheduler boundaries are consistent sync points: no access()
         // frame or handler is in flight between fiber resumes.
-        if (invariants_ && cfg_.invariantPeriod &&
-            best->nextCycle_ >= nextInvariantSweep_) {
+        if (invariants_ && best->nextCycle_ >= nextInvariantSweep_) {
             invariants_->check(InvariantChecker::SyncPoint::Periodic);
-            nextInvariantSweep_ =
-                best->nextCycle_ + cfg_.invariantPeriod;
+            nextInvariantSweep_ = best->nextCycle_ + kInvariantPeriod;
         }
         yieldThreshold_ = second;
         if (yieldThreshold_ != kInfinity)
@@ -278,7 +270,7 @@ Machine::run()
     }
     running_ = false;
     // Final sweep: every run ends with at least one full check, even
-    // when it was shorter than invariantPeriod.
+    // when it was shorter than kInvariantPeriod.
     if (invariants_)
         invariants_->check(InvariantChecker::SyncPoint::Manual);
     // COMMTM_CAPTURE_TRACE=<path>: persist the capture (re-written at
@@ -365,6 +357,21 @@ Machine::resetStats()
 // ---------------------------------------------------------------------
 // ThreadContext out-of-line members
 // ---------------------------------------------------------------------
+
+void
+ThreadContext::sealCommit(CommitLog &log)
+{
+    // Labeled lines commit into U partials whose bytes are
+    // order-dependent; the write digest covers only the conventional
+    // write set.
+    HtmManager &htm = machine_.htm();
+    const WriteBuffer &wb = htm.writeBuffer(core_);
+    wb.forEach([&](Addr line, const WriteBuffer::Entry &e) {
+        if (!htm.inLabeledSet(core_, line))
+            log.noteWriteLine(core_, line, e.mask, e.data.data());
+    });
+    log.sealCommit(core_, nextCycle_);
+}
 
 void
 ThreadContext::barrier()

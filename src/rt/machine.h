@@ -176,6 +176,10 @@ class ThreadContext
      *  or outside a transaction). */
     void noteLabeledOp(CommitOpKind kind, Addr addr, Label label,
                        const void *operand, uint32_t size);
+    /** Observation-only: fold the attempt's conventional write-buffer
+     *  lines into @p log and seal its record. txRun calls it right
+     *  before HtmManager::commit applies (and clears) the buffer. */
+    void sealCommit(CommitLog &log);
 
     Machine &machine_;
     CoreId core_;
@@ -317,12 +321,12 @@ class Machine
     uint32_t liveThreads() const;
 
     /** Commit/abort-boundary invariant sweep (txRun); a no-op unless
-     *  checking is on and MachineConfig::invariantOnTxEnd asks for
+     *  checking is on and MachineConfig::denseInvariants asks for
      *  transaction-boundary density. */
     void
     invariantSync(InvariantChecker::SyncPoint where)
     {
-        if (invariants_ && cfg_.invariantOnTxEnd)
+        if (invariants_ && cfg_.denseInvariants)
             invariants_->check(where);
     }
 
@@ -362,8 +366,8 @@ class Machine
      *  not re-queue it: it is still running and re-queues itself when
      *  it next yields. */
     ThreadContext *current_ = nullptr;
-    /** Cross-check cadence resolved from MachineConfig and the
-     *  COMMTM_SCHED_CROSSCHECK environment variable (0 = never). */
+    /** Cross-check cadence resolved from MachineConfig and the build
+     *  type (0 = never). */
     uint32_t crossCheckEvery_ = 0;
     uint32_t crossCheckCountdown_ = 0;
 
@@ -759,14 +763,15 @@ ThreadContext::txRun(Body &&body)
             checkDoomed();
         }
         if (!txAbortPending_) {
-            // Commit (and seal the commit-log record, if recording).
-            // The commit itself is atomic in simulated time; flushing
-            // the captured attempt before the latency advance (which
-            // can yield) guarantees the trace's commit order equals
-            // the functional commit order.
-            const Cycle commitLat = htm.commit(core_, nextCycle_);
+            // Commit. The observers see the attempt first: the seal
+            // reads the write buffer the commit is about to apply.
+            // Nothing yields until the latency advance, so the commit
+            // log and the trace both hold the functional commit order.
+            if (CommitLog *log = machine_.commitLog_.get())
+                sealCommit(*log);
             if (trace_)
                 trace_->commitAttempt(core_);
+            const Cycle commitLat = htm.commit(core_);
             advance(commitLat);
             stats.txCommitted++;
             stats.txCommittedCycles += txAcc_;
@@ -779,6 +784,8 @@ ThreadContext::txRun(Body &&body)
         const AbortCause cause = abortCause_;
         if (trace_)
             trace_->abortAttempt(core_);
+        if (machine_.commitLog_)
+            machine_.commitLog_->abortAttempt(core_);
         const Cycle backoff = htm.abortAttempt(core_, cause, rng_);
         if (abortDemote_)
             htm.setDemoted(core_);

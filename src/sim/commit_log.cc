@@ -1,50 +1,17 @@
 /**
  * @file
- * CommitLog implementation: digest folding, sealing, the fixed-width
- * serialized format, and the three diff policies.
+ * CommitLog implementation: digest folding, sealing, and the three
+ * diff policies.
  */
 
 #include "sim/commit_log.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 namespace commtm {
 
 namespace {
-
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; i++)
-        out.push_back(uint8_t(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; i++)
-        out.push_back(uint8_t(v >> (8 * i)));
-}
-
-uint32_t
-getU32(const uint8_t *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; i++)
-        v |= uint32_t(p[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-getU64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; i++)
-        v |= uint64_t(p[i]) << (8 * i);
-    return v;
-}
 
 std::string
 hex(uint64_t v)
@@ -58,7 +25,7 @@ hex(uint64_t v)
 } // namespace
 
 CommitLog::CommitLog(uint32_t num_cores)
-    : pending_(num_cores), commits_(num_cores, 0)
+    : pending_(num_cores), commits_(num_cores, 0), lastTxId_(num_cores, 0)
 {
 }
 
@@ -120,35 +87,15 @@ CommitLog::sealCommit(CoreId core, Cycle commit_cycle)
     rec.writeSet = p.writes.value();
     rec.labeledOps = p.labeledOps;
     rec.writeLines = p.writeLines;
+    lastTxId_[core] = rec.txId;
     records_.push_back(rec);
     p = Pending{};
-    for (Listener *l : listeners_)
-        l->onCommit(records_.back());
 }
 
 void
 CommitLog::abortAttempt(CoreId core)
 {
     pending_[core] = Pending{};
-    for (Listener *l : listeners_)
-        l->onAbort(core);
-}
-
-void
-CommitLog::addListener(Listener *listener)
-{
-    listeners_.push_back(listener);
-}
-
-void
-CommitLog::removeListener(Listener *listener)
-{
-    for (size_t i = 0; i < listeners_.size(); i++) {
-        if (listeners_[i] == listener) {
-            listeners_.erase(listeners_.begin() + long(i));
-            return;
-        }
-    }
 }
 
 void
@@ -162,104 +109,9 @@ CommitLog::setTestOperandFlip(CoreId core, uint32_t commit_index,
     flipByte_ = byte_index;
 }
 
-std::vector<uint8_t>
-CommitLog::serialize() const
-{
-    std::vector<uint8_t> out;
-    out.reserve(kHeaderBytes + kRecordBytes * records_.size());
-    // push_back loop, not a range insert: gcc 12's -O2 overflow
-    // analysis misjudges insert-from-char-array into a byte vector
-    // and fails -Werror (stringop-overflow false positive).
-    for (const char c : kMagic)
-        out.push_back(uint8_t(c));
-    putU32(out, kVersion);
-    putU32(out, numCores());
-    putU64(out, records_.size());
-    for (const CommitRecord &r : records_) {
-        putU64(out, r.txId);
-        putU32(out, r.core);
-        putU32(out, r.commitIndex);
-        putU64(out, r.commitCycle);
-        putU64(out, r.labeledShape);
-        putU64(out, r.labeledValues);
-        putU64(out, r.writeSet);
-        putU32(out, r.labeledOps);
-        putU32(out, r.writeLines);
-    }
-    return out;
-}
-
-bool
-CommitLog::deserialize(const std::vector<uint8_t> &buf, CommitLog *out,
-                       std::string *error)
-{
-    const auto fail = [&](const std::string &msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (buf.size() < kHeaderBytes) {
-        return fail("truncated header: " + std::to_string(buf.size()) +
-                    " bytes, need " + std::to_string(kHeaderBytes));
-    }
-    if (std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0)
-        return fail("bad magic: not a commit log");
-    const uint32_t version = getU32(&buf[8]);
-    if (version != kVersion) {
-        return fail("unsupported version " + std::to_string(version));
-    }
-    const uint32_t num_cores = getU32(&buf[12]);
-    const uint64_t count = getU64(&buf[16]);
-    if (buf.size() != kHeaderBytes + kRecordBytes * count) {
-        return fail("truncated records: header claims " +
-                    std::to_string(count) + " records (" +
-                    std::to_string(kHeaderBytes +
-                                   kRecordBytes * count) +
-                    " bytes), got " + std::to_string(buf.size()));
-    }
-    CommitLog log(num_cores);
-    log.records_.reserve(count);
-    for (uint64_t i = 0; i < count; i++) {
-        const uint8_t *p = &buf[kHeaderBytes + kRecordBytes * i];
-        CommitRecord r;
-        r.txId = getU64(p + 0);
-        r.core = getU32(p + 8);
-        r.commitIndex = getU32(p + 12);
-        r.commitCycle = getU64(p + 16);
-        r.labeledShape = getU64(p + 24);
-        r.labeledValues = getU64(p + 32);
-        r.writeSet = getU64(p + 40);
-        r.labeledOps = getU32(p + 48);
-        r.writeLines = getU32(p + 52);
-        if (r.txId != i) {
-            return fail("record " + std::to_string(i) +
-                        ": txId field is " + std::to_string(r.txId) +
-                        ", expected " + std::to_string(i));
-        }
-        if (r.core >= num_cores) {
-            return fail("record " + std::to_string(i) + " (txId " +
-                        std::to_string(r.txId) +
-                        "): core field is " + std::to_string(r.core) +
-                        ", log has " + std::to_string(num_cores) +
-                        " cores");
-        }
-        if (r.commitIndex != log.commits_[r.core]) {
-            return fail(
-                "record " + std::to_string(i) + " (txId " +
-                std::to_string(r.txId) + "): commitIndex field is " +
-                std::to_string(r.commitIndex) + ", expected " +
-                std::to_string(log.commits_[r.core]) + " for core " +
-                std::to_string(r.core));
-        }
-        log.commits_[r.core]++;
-        log.records_.push_back(r);
-    }
-    *out = std::move(log);
-    return true;
-}
-
 CommitLogDiff
-CommitLog::diff(const CommitLog &a, const CommitLog &b, DiffMode mode)
+CommitLog::diff(const std::vector<CommitRecord> &a,
+                const std::vector<CommitRecord> &b, DiffMode mode)
 {
     CommitLogDiff d;
     const auto fail = [&](const std::string &msg) {
@@ -267,20 +119,14 @@ CommitLog::diff(const CommitLog &a, const CommitLog &b, DiffMode mode)
         d.message = msg;
         return d;
     };
-    if (a.numCores() != b.numCores()) {
-        return fail("core counts differ: " +
-                    std::to_string(a.numCores()) + " vs " +
-                    std::to_string(b.numCores()));
-    }
     if (mode == DiffMode::Exact) {
-        if (a.records_.size() != b.records_.size()) {
-            return fail("record counts differ: " +
-                        std::to_string(a.records_.size()) + " vs " +
-                        std::to_string(b.records_.size()));
+        if (a.size() != b.size()) {
+            return fail("record counts differ: " + std::to_string(a.size()) +
+                        " vs " + std::to_string(b.size()));
         }
-        for (size_t i = 0; i < a.records_.size(); i++) {
-            const CommitRecord &ra = a.records_[i];
-            const CommitRecord &rb = b.records_[i];
+        for (size_t i = 0; i < a.size(); i++) {
+            const CommitRecord &ra = a[i];
+            const CommitRecord &rb = b[i];
             const auto at = [&](const char *field,
                                 const std::string &va,
                                 const std::string &vb) {
@@ -319,13 +165,18 @@ CommitLog::diff(const CommitLog &a, const CommitLog &b, DiffMode mode)
     }
     // PerCore / Shape: compare each core's commit stream in order,
     // ignoring the global interleaving and cycle counts.
-    std::vector<std::vector<const CommitRecord *>> byCoreA(a.numCores());
-    std::vector<std::vector<const CommitRecord *>> byCoreB(b.numCores());
-    for (const CommitRecord &r : a.records_)
+    uint32_t cores = 0;
+    for (const auto *log : {&a, &b}) {
+        for (const CommitRecord &r : *log)
+            cores = std::max(cores, r.core + 1);
+    }
+    std::vector<std::vector<const CommitRecord *>> byCoreA(cores);
+    std::vector<std::vector<const CommitRecord *>> byCoreB(cores);
+    for (const CommitRecord &r : a)
         byCoreA[r.core].push_back(&r);
-    for (const CommitRecord &r : b.records_)
+    for (const CommitRecord &r : b)
         byCoreB[r.core].push_back(&r);
-    for (uint32_t c = 0; c < a.numCores(); c++) {
+    for (uint32_t c = 0; c < cores; c++) {
         if (byCoreA[c].size() != byCoreB[c].size()) {
             return fail("core " + std::to_string(c) + " committed " +
                         std::to_string(byCoreA[c].size()) + " vs " +

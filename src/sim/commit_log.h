@@ -7,9 +7,9 @@
  * observation-only — it reads speculative state the commit path
  * already walks and never touches simulated behavior — so the exact
  * same log can be captured from a baseline run without perturbing a
- * single counter. Logs serialize to a compact fixed-width format so
- * they can be written to disk and diffed across runs; the replay
- * oracle (sim/replay_oracle.h) builds both of its checks on top.
+ * single counter. The records are a plain value: runs hand them
+ * around and diff them in-process, and the replay oracle
+ * (sim/replay_oracle.h) builds both of its checks on top.
  */
 
 #ifndef COMMTM_SIM_COMMIT_LOG_H
@@ -122,26 +122,16 @@ enum class DiffMode {
 };
 
 /**
- * The per-machine commit log. The HTM commit path drives recording:
- * ThreadContext notes each labeled op that stayed labeled, HtmManager
- * notes the conventional write-buffer lines and seals the record at
- * the end of commit (commit order in the log therefore equals the
- * functional commit order — HtmManager::commit runs atomically in
- * simulated time). Aborted attempts discard their pending digests.
+ * The per-machine commit log. ThreadContext drives recording: it
+ * notes each labeled op that stayed labeled, and at the commit point
+ * txRun folds the conventional write-buffer lines and seals the record
+ * right before HtmManager::commit, with no yield in between (commit
+ * order in the log therefore equals the functional commit order).
+ * Aborted attempts discard their pending digests.
  */
 class CommitLog
 {
   public:
-    /** Observer hook: the replay oracle attaches structure-level ops
-     *  to the commit stream through this. */
-    class Listener
-    {
-      public:
-        virtual ~Listener() = default;
-        virtual void onCommit(const CommitRecord &rec) = 0;
-        virtual void onAbort(CoreId core) { (void)core; }
-    };
-
     explicit CommitLog(uint32_t num_cores);
 
     // --- recording (called from the commit path) ---
@@ -161,33 +151,19 @@ class CommitLog
     /** Discard the pending digests of an aborted attempt. */
     void abortAttempt(CoreId core);
 
-    void addListener(Listener *listener);
-    void removeListener(Listener *listener);
-
     // --- inspection ---
 
-    uint32_t numCores() const { return uint32_t(pending_.size()); }
     const std::vector<CommitRecord> &records() const { return records_; }
     /** Commits sealed so far by @p core. */
     uint32_t commitsOf(CoreId core) const { return commits_[core]; }
+    /** txId of @p core's most recent commit; needs commitsOf > 0. */
+    uint64_t lastCommitOf(CoreId core) const { return lastTxId_[core]; }
 
-    // --- persistence and comparison ---
-
-    /** Compact fixed-width encoding: a 24-byte header (magic,
-     *  version, core count, record count) followed by one 56-byte
-     *  little-endian record per commit. */
-    std::vector<uint8_t> serialize() const;
-
-    /** Parse @p buf into @p out. On failure returns false and sets
-     *  @p error to a precise diagnostic naming the record (txId) and
-     *  field that is inconsistent. */
-    static bool deserialize(const std::vector<uint8_t> &buf,
-                            CommitLog *out, std::string *error);
-
-    /** First difference between two logs under @p mode (see
-     *  DiffMode); the message names core, commit index, txId, and
-     *  field. */
-    static CommitLogDiff diff(const CommitLog &a, const CommitLog &b,
+    /** First difference between two record sequences under @p mode
+     *  (see DiffMode); the message names core, commit index, txId,
+     *  and field. */
+    static CommitLogDiff diff(const std::vector<CommitRecord> &a,
+                              const std::vector<CommitRecord> &b,
                               DiffMode mode);
 
     /**
@@ -201,12 +177,6 @@ class CommitLog
     void setTestOperandFlip(CoreId core, uint32_t commit_index,
                             uint32_t op_index, uint32_t byte_index);
 
-    static constexpr char kMagic[8] = {'C', 'T', 'M', 'C',
-                                       'L', 'O', 'G', '1'};
-    static constexpr uint32_t kVersion = 1;
-    static constexpr size_t kHeaderBytes = 24;
-    static constexpr size_t kRecordBytes = 56;
-
   private:
     struct Pending {
         FnvDigest shape;
@@ -218,8 +188,8 @@ class CommitLog
 
     std::vector<Pending> pending_;   //!< one open record per core
     std::vector<uint32_t> commits_;  //!< per-core sealed-commit count
+    std::vector<uint64_t> lastTxId_; //!< per-core most recent txId
     std::vector<CommitRecord> records_;
-    std::vector<Listener *> listeners_;
 
     bool flipArmed_ = false;
     CoreId flipCore_ = 0;

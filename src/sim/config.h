@@ -110,25 +110,19 @@ struct MachineConfig {
      *  Machine::run(). */
     bool captureTrace = false;
     /** Sweep the machine-wide invariant checker (sim/invariants.h,
-     *  docs/ARCHITECTURE.md Sec. 10) at periodic scheduler sync points
-     *  (and at the sync points the knobs below add). Strictly
+     *  docs/ARCHITECTURE.md Sec. 10) every 100000 cycles at scheduler
+     *  sync points and once at the end of every run. Strictly
      *  observation-only: the baseline wall runs bit-identical with it
      *  on. Also forced on by the COMMTM_CHECK_INVARIANTS environment
-     *  variable: any value enables periodic sweeps; the value "commit"
-     *  additionally forces invariantOnTxEnd and "drain" forces both
-     *  invariantOnTxEnd and invariantOnDrain. */
+     *  variable: any value enables the periodic sweeps, and the value
+     *  "drain" also forces denseInvariants. */
     bool checkInvariants = false;
-    /** Cycles between periodic invariant sweeps (0 = no periodic
-     *  sweeps). Only meaningful with checkInvariants. */
-    Cycle invariantPeriod = 100000;
-    /** Additionally sweep after every transaction commit and abort.
-     *  Meant for test-scale machines: a Table I bench commits millions
-     *  of transactions, and a full sweep per commit swamps the run. */
-    bool invariantOnTxEnd = false;
-    /** Additionally sweep at the end of every directory drain loop —
-     *  the densest sync point, meant for fuzz-scale machines whose
-     *  caches are tiny; sweeping a Table I machine per miss is slow. */
-    bool invariantOnDrain = false;
+    /** Additionally sweep after every transaction commit and abort and
+     *  at the end of every directory drain loop. Only meaningful with
+     *  checkInvariants, and meant for fuzz-scale machines: a Table I
+     *  bench commits millions of transactions and misses constantly,
+     *  and a full sweep at each swamps the run. */
+    bool denseInvariants = false;
 
     // CommTM.
     SystemMode mode = SystemMode::CommTm;
@@ -156,8 +150,7 @@ struct MachineConfig {
      *  COMMTM_CHECK; docs/ARCHITECTURE.md Sec. 2.2). 0 selects the
      *  default cadence: every 1024 resumes in Debug builds, never in
      *  Release. The scheduler stress tests set 1 to verify every
-     *  single pick; the COMMTM_SCHED_CROSSCHECK environment variable
-     *  overrides either setting for any run. */
+     *  single pick. */
     uint32_t schedCrossCheckEvery = 0;
 
     uint64_t seed = 0x5eed;

@@ -110,7 +110,7 @@ class InvariantChecker
         DrainEnd, //!< end of a directory drain loop (access())
         Commit,   //!< after an HTM commit completed
         Abort,    //!< after an HTM abort attempt completed
-        Periodic, //!< every MachineConfig::invariantPeriod cycles
+        Periodic, //!< every 100000 cycles (checkInvariants)
         Manual,   //!< explicit call (tests)
     };
 

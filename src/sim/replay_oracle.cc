@@ -8,9 +8,9 @@
 #include "sim/replay_oracle.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "rt/machine.h"
+#include "sim/check.h"
 
 namespace commtm {
 
@@ -40,33 +40,19 @@ StructureModel::checkFinal(Machine &machine, std::string *diag)
 
 namespace {
 
-CommitLog &
+const CommitLog &
 requireLog(Machine &machine)
 {
-    CommitLog *log = machine.commitLog();
-    assert(log &&
-           "ReplayOracle requires MachineConfig::recordCommits");
+    const CommitLog *log = machine.commitLog();
+    COMMTM_CHECK(log, "ReplayOracle requires MachineConfig::recordCommits");
     return *log;
 }
 
 } // namespace
 
 ReplayOracle::ReplayOracle(Machine &machine)
-    : machine_(machine), log_(requireLog(machine)),
-      lastSealed_(log_.numCores(), 0)
+    : machine_(machine), log_(requireLog(machine))
 {
-    log_.addListener(this);
-}
-
-ReplayOracle::~ReplayOracle()
-{
-    log_.removeListener(this);
-}
-
-void
-ReplayOracle::onCommit(const CommitRecord &rec)
-{
-    lastSealed_[rec.core] = rec.txId + 1;
 }
 
 uint32_t
@@ -79,13 +65,19 @@ ReplayOracle::addModel(std::unique_ptr<StructureModel> model)
 void
 ReplayOracle::recordOp(ThreadContext &ctx, ModelOp op)
 {
-    assert(!ctx.inTx() &&
-           "recordOp attaches to a committed transaction; call it "
-           "after the structure call returns");
-    assert(op.structId < models_.size());
-    const uint64_t sealed = lastSealed_[ctx.id()];
-    assert(sealed > 0 && "core has not committed yet");
-    const uint64_t txId = sealed - 1;
+    COMMTM_CHECK(!ctx.inTx(),
+                 "recordOp on core %u inside a transaction; call it "
+                 "after the structure call returns",
+                 ctx.id());
+    COMMTM_CHECK(op.structId < models_.size(),
+                 "recordOp on core %u: structId %u is not a registered "
+                 "model (%zu registered)",
+                 ctx.id(), op.structId, models_.size());
+    COMMTM_CHECK(log_.commitsOf(ctx.id()) > 0,
+                 "recordOp on core %u before its first commit: there "
+                 "is no transaction to attach the op to",
+                 ctx.id());
+    const uint64_t txId = log_.lastCommitOf(ctx.id());
     if (opsByCommit_.size() <= txId)
         opsByCommit_.resize(txId + 1);
     opsByCommit_[txId].push_back(std::move(op));
@@ -163,20 +155,7 @@ runDifferential(MachineConfig base,
     const DifferentialRun b = workload(lazy);
 
     DifferentialResult res;
-    CommitLog log_a(0), log_b(0);
-    std::string err;
-    if (!CommitLog::deserialize(a.log, &log_a, &err)) {
-        res.ok = false;
-        res.diag = "eager log: " + err;
-        return res;
-    }
-    if (!CommitLog::deserialize(b.log, &log_b, &err)) {
-        res.ok = false;
-        res.diag = "lazy log: " + err;
-        return res;
-    }
-    const CommitLogDiff d =
-        CommitLog::diff(log_a, log_b, digest_mode);
+    const CommitLogDiff d = CommitLog::diff(a.log, b.log, digest_mode);
     if (!d.equal) {
         res.ok = false;
         res.diag = "eager vs lazy commit logs: " + d.message;

@@ -92,11 +92,10 @@ class StructureModel
  * transaction, which is exactly the one the call ran (every library
  * structure op is one txRun, and the simulator is sequential).
  */
-class ReplayOracle : public CommitLog::Listener
+class ReplayOracle
 {
   public:
     explicit ReplayOracle(Machine &machine);
-    ~ReplayOracle() override;
 
     ReplayOracle(const ReplayOracle &) = delete;
     ReplayOracle &operator=(const ReplayOracle &) = delete;
@@ -106,7 +105,10 @@ class ReplayOracle : public CommitLog::Listener
 
     StructureModel &model(uint32_t id) { return *models_[id]; }
 
-    /** Attach @p op to @p ctx's most recent committed transaction. */
+    /** Attach @p op to @p ctx's most recent committed transaction.
+     *  The core must have committed, @p op.structId must name a
+     *  registered model, and @p ctx must be outside a transaction;
+     *  violations abort with a diagnostic in every build. */
     void recordOp(ThreadContext &ctx, ModelOp op);
 
     /**
@@ -126,16 +128,10 @@ class ReplayOracle : public CommitLog::Listener
                         uint32_t op_index, uint32_t arg_index,
                         uint32_t byte_index);
 
-    // CommitLog::Listener
-    void onCommit(const CommitRecord &rec) override;
-    void onAbort(CoreId core) override { (void)core; }
-
   private:
     Machine &machine_;
-    CommitLog &log_;
+    const CommitLog &log_;
     std::vector<std::unique_ptr<StructureModel>> models_;
-    /** Per core: 1 + txId of its most recent commit (0 = none). */
-    std::vector<uint64_t> lastSealed_;
     /** Ops attached to each global commit, indexed by txId. */
     std::vector<std::vector<ModelOp>> opsByCommit_;
 
@@ -147,10 +143,10 @@ class ReplayOracle : public CommitLog::Listener
     uint32_t flipByte_ = 0;
 };
 
-/** What one differential run produces: its serialized commit log and
- *  a canonical byte encoding of the committed end state. */
+/** What one differential run produces: its commit records and a
+ *  canonical byte encoding of the committed end state. */
 struct DifferentialRun {
-    std::vector<uint8_t> log;
+    std::vector<CommitRecord> log;
     std::vector<uint8_t> endState;
 };
 

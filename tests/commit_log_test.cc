@@ -1,18 +1,16 @@
 /**
  * @file
  * Unit tests for the commit log (docs/ARCHITECTURE.md Sec. 9): pinned
- * digest values for a tiny two-core eager run (the serialized format
- * and the digest definition are both contracts — a refactor that
- * changes either must show up here), serialize/deserialize round
- * trips, precise rejection diagnostics for corrupted logs, the three
- * diff policies, abort hygiene, and the COMMTM_RECORD_COMMITS
- * override.
+ * digest values for a tiny two-core eager run (the digest definition
+ * is a contract — a refactor that changes it must show up here), the
+ * three diff policies, abort hygiene and per-core last-commit
+ * tracking, and the COMMTM_RECORD_COMMITS override.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "rt/machine.h"
 #include "sim/commit_log.h"
@@ -138,93 +136,6 @@ TEST(CommitLog, PinnedDigestsForTwoCoreEagerRun)
     EXPECT_EQ(FnvDigest::kBasis, 0xcbf29ce484222325ull);
 }
 
-/** Host-built three-record sample log: core 0 commits a labeled
- *  store and later an empty transaction, core 1 commits one
- *  conventional write line in between. */
-CommitLog
-sampleLog()
-{
-    CommitLog log(2);
-    const int64_t v = 7;
-    log.noteLabeledOp(0, CommitOpKind::LabeledStore, 0x10000, 1, &v,
-                      sizeof(v));
-    log.sealCommit(0, 100);
-    uint8_t line[kLineSize] = {};
-    line[0] = 0xab;
-    line[3] = 0xcd;
-    log.noteWriteLine(1, 0x20000, 0x9, line);
-    log.sealCommit(1, 120);
-    log.sealCommit(0, 140);
-    return log;
-}
-
-TEST(CommitLog, SerializeDeserializeRoundTrip)
-{
-    const CommitLog log = sampleLog();
-    const std::vector<uint8_t> bytes = log.serialize();
-    ASSERT_EQ(bytes.size(), CommitLog::kHeaderBytes +
-                                3 * CommitLog::kRecordBytes);
-
-    CommitLog back(0);
-    std::string err;
-    ASSERT_TRUE(CommitLog::deserialize(bytes, &back, &err)) << err;
-    EXPECT_EQ(back.numCores(), 2u);
-    ASSERT_EQ(back.records().size(), 3u);
-    EXPECT_EQ(back.commitsOf(0), 2u);
-    EXPECT_EQ(back.commitsOf(1), 1u);
-
-    const CommitLogDiff d =
-        CommitLog::diff(log, back, DiffMode::Exact);
-    EXPECT_TRUE(d.equal) << d.message;
-    EXPECT_EQ(back.serialize(), bytes);
-}
-
-TEST(CommitLog, CorruptedLogsRejectedWithPreciseDiagnostics)
-{
-    const std::vector<uint8_t> good = sampleLog().serialize();
-    const auto expectReject = [&](std::vector<uint8_t> bytes,
-                                  const char *what) {
-        CommitLog out(0);
-        std::string err;
-        EXPECT_FALSE(CommitLog::deserialize(bytes, &out, &err));
-        EXPECT_NE(err.find(what), std::string::npos)
-            << "diagnostic \"" << err << "\" lacks \"" << what
-            << "\"";
-    };
-    const size_t kRec = CommitLog::kRecordBytes;
-    const size_t kHdr = CommitLog::kHeaderBytes;
-
-    std::vector<uint8_t> bad = good;
-    bad[0] ^= 0x20;
-    expectReject(bad, "bad magic");
-
-    bad = good;
-    bad[8] = 9; // version field
-    expectReject(bad, "unsupported version 9");
-
-    bad = good;
-    bad.resize(kHdr - 1);
-    expectReject(bad, "truncated header");
-
-    bad = good;
-    bad.pop_back();
-    expectReject(bad, "truncated records");
-
-    bad = good;
-    bad[kHdr + kRec * 1 + 0] = 5; // record 1's txId field
-    expectReject(bad, "record 1: txId field is 5, expected 1");
-
-    bad = good;
-    bad[kHdr + kRec * 1 + 8] = 7; // record 1's core field
-    expectReject(bad,
-                 "record 1 (txId 1): core field is 7, log has 2");
-
-    bad = good;
-    bad[kHdr + kRec * 2 + 12] = 5; // record 2's commitIndex field
-    expectReject(bad, "record 2 (txId 2): commitIndex field is 5, "
-                      "expected 1 for core 0");
-}
-
 TEST(CommitLog, DiffModesSeparateInterleavingValuesAndShape)
 {
     const int64_t v = 7;
@@ -248,13 +159,13 @@ TEST(CommitLog, DiffModesSeparateInterleavingValuesAndShape)
             sealCore0();
             sealCore1();
         }
-        return log;
+        return log.records();
     };
-    const CommitLog a = buildTwoCore(false, v, 0x10000);
+    const std::vector<CommitRecord> a = buildTwoCore(false, v, 0x10000);
 
     // Same per-core streams, different interleaving: Exact catches
     // it, PerCore and Shape accept it.
-    const CommitLog b = buildTwoCore(true, v, 0x10000);
+    const std::vector<CommitRecord> b = buildTwoCore(true, v, 0x10000);
     CommitLogDiff d = CommitLog::diff(a, b, DiffMode::Exact);
     EXPECT_FALSE(d.equal);
     EXPECT_NE(d.message.find("record 0"), std::string::npos)
@@ -266,7 +177,7 @@ TEST(CommitLog, DiffModesSeparateInterleavingValuesAndShape)
     // Different store operand: same shape, different values. Shape
     // accepts (the eager-vs-lazy comparison policy), PerCore names
     // the digest and the commit.
-    const CommitLog c = buildTwoCore(false, v + 1, 0x10000);
+    const std::vector<CommitRecord> c = buildTwoCore(false, v + 1, 0x10000);
     EXPECT_TRUE(CommitLog::diff(a, c, DiffMode::Shape).equal);
     d = CommitLog::diff(a, c, DiffMode::PerCore);
     EXPECT_FALSE(d.equal);
@@ -276,7 +187,7 @@ TEST(CommitLog, DiffModesSeparateInterleavingValuesAndShape)
         << d.message;
 
     // Different address: even Shape fails.
-    const CommitLog e = buildTwoCore(false, v, 0x10040);
+    const std::vector<CommitRecord> e = buildTwoCore(false, v, 0x10040);
     d = CommitLog::diff(a, e, DiffMode::Shape);
     EXPECT_FALSE(d.equal);
     EXPECT_NE(d.message.find("labeledShape"), std::string::npos)
@@ -287,39 +198,34 @@ TEST(CommitLog, DiffModesSeparateInterleavingValuesAndShape)
     f.noteLabeledOp(0, CommitOpKind::LabeledStore, 0x10000, 1, &v,
                     sizeof(v));
     f.sealCommit(0, 10);
-    d = CommitLog::diff(a, f, DiffMode::Shape);
+    d = CommitLog::diff(a, f.records(), DiffMode::Shape);
     EXPECT_FALSE(d.equal);
     EXPECT_NE(d.message.find("core 1 committed 1 vs 0"),
               std::string::npos)
         << d.message;
 }
 
-TEST(CommitLog, AbortDiscardsPendingDigestsAndNotifiesListeners)
+TEST(CommitLog, AbortDiscardsPendingDigestsAndTracksLastCommit)
 {
-    struct Counting : CommitLog::Listener {
-        int commits = 0;
-        int aborts = 0;
-        void onCommit(const CommitRecord &) override { commits++; }
-        void onAbort(CoreId) override { aborts++; }
-    } counting;
-
-    CommitLog log(1);
-    log.addListener(&counting);
+    CommitLog log(2);
+    EXPECT_EQ(log.commitsOf(0), 0u);
     const int64_t v = 99;
     log.noteLabeledOp(0, CommitOpKind::LabeledStore, 0x10000, 1, &v,
                       sizeof(v));
     log.abortAttempt(0); // discard the attempt's digests
     log.sealCommit(0, 50);
-    log.removeListener(&counting);
-    log.sealCommit(0, 60); // not observed: listener removed
+    log.sealCommit(1, 55);
+    log.sealCommit(0, 60);
 
-    ASSERT_EQ(log.records().size(), 2u);
+    ASSERT_EQ(log.records().size(), 3u);
     const CommitRecord &r = log.records()[0];
     EXPECT_EQ(r.labeledShape, FnvDigest::kBasis);
     EXPECT_EQ(r.labeledValues, FnvDigest::kBasis);
     EXPECT_EQ(r.labeledOps, 0u);
-    EXPECT_EQ(counting.commits, 1);
-    EXPECT_EQ(counting.aborts, 1);
+    EXPECT_EQ(log.commitsOf(0), 2u);
+    EXPECT_EQ(log.lastCommitOf(0), 2u);
+    EXPECT_EQ(log.commitsOf(1), 1u);
+    EXPECT_EQ(log.lastCommitOf(1), 1u);
 }
 
 TEST(CommitLog, OperandFlipHookChangesOnlyTheValuesDigest)
@@ -334,8 +240,8 @@ TEST(CommitLog, OperandFlipHookChangesOnlyTheValuesDigest)
         log.sealCommit(0, 10);
         return log;
     };
-    const CommitLog plain = build(false);
-    const CommitLog flipped = build(true);
+    const std::vector<CommitRecord> plain = build(false).records();
+    const std::vector<CommitRecord> flipped = build(true).records();
     EXPECT_TRUE(
         CommitLog::diff(plain, flipped, DiffMode::Shape).equal);
     const CommitLogDiff d =
@@ -347,6 +253,10 @@ TEST(CommitLog, OperandFlipHookChangesOnlyTheValuesDigest)
 
 TEST(CommitLog, EnvOverrideForcesRecordingOn)
 {
+    // CI legs run this suite with the override already set.
+    const char *outer = std::getenv("COMMTM_RECORD_COMMITS");
+    const std::string saved = outer ? outer : "";
+    ASSERT_EQ(unsetenv("COMMTM_RECORD_COMMITS"), 0);
     MachineConfig c = twoCoreConfig();
     c.recordCommits = false;
     {
@@ -358,7 +268,10 @@ TEST(CommitLog, EnvOverrideForcesRecordingOn)
         Machine forced(c);
         EXPECT_NE(forced.commitLog(), nullptr);
     }
-    ASSERT_EQ(unsetenv("COMMTM_RECORD_COMMITS"), 0);
+    if (outer)
+        setenv("COMMTM_RECORD_COMMITS", saved.c_str(), 1);
+    else
+        unsetenv("COMMTM_RECORD_COMMITS");
 }
 
 } // namespace

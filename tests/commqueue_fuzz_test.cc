@@ -67,10 +67,7 @@ fuzzConfig(uint64_t seed, uint32_t cores, ConflictDetection detection)
     // 130-256 cores multiplies Debug fuzz time ~10x without adding
     // invariant coverage.
     c.checkInvariants = true;
-    if (cores <= 128) {
-        c.invariantOnTxEnd = true;
-        c.invariantOnDrain = true;
-    }
+    c.denseInvariants = cores <= 128;
 
     return c;
 }
@@ -280,7 +277,7 @@ TEST_P(CommQueueDifferential, EnqueueOnlyEagerLazyAgree)
         }
         m.run();
         DifferentialRun out;
-        out.log = m.commitLog()->serialize();
+        out.log = m.commitLog()->records();
         std::vector<uint64_t> vals = queue.peekAll(m);
         std::sort(vals.begin(), vals.end());
         for (uint64_t v : vals) {

@@ -4,11 +4,13 @@
  * fault-injection hook corrupts exactly one protocol field, and the
  * next sweep must report the matching violation kind with
  * field-precise diagnostics. A clean machine must sweep clean both
- * after a run and inside a live transaction.
+ * after a run and inside a live transaction, and the
+ * COMMTM_CHECK_INVARIANTS override must pick the documented density.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -342,6 +344,62 @@ TEST(Invariants, SignatureSetMismatchMidTx)
     EXPECT_NE(msgFor(v, InvariantKind::SignatureSetMismatch)
                   .find("notedRead line missing from the read set"),
               std::string::npos);
+}
+
+/**
+ * Sweep counts of a one-thread run with checkInvariants left off in
+ * the config: one sample before the first of three commits and one
+ * after each. Empty when the machine built no checker.
+ */
+std::vector<uint64_t>
+sweepsAroundCommits()
+{
+    MachineConfig cfg;
+    cfg.numCores = 2;
+    Machine m(cfg);
+    std::vector<uint64_t> seen;
+    const InvariantChecker *chk = m.invariantChecker();
+    if (!chk)
+        return seen;
+    const Addr a = m.allocator().allocLines(1);
+    m.addThread([&](ThreadContext &ctx) {
+        seen.push_back(chk->sweeps());
+        for (uint64_t i = 0; i < 3; i++) {
+            ctx.txRun([&] { ctx.write<uint64_t>(a, i); });
+            seen.push_back(chk->sweeps());
+        }
+    });
+    m.run();
+    return seen;
+}
+
+TEST(Invariants, EnvOverrideSelectsSweepDensity)
+{
+    const char *outer = std::getenv("COMMTM_CHECK_INVARIANTS");
+    const std::string saved = outer ? outer : "";
+    ASSERT_EQ(unsetenv("COMMTM_CHECK_INVARIANTS"), 0);
+    EXPECT_TRUE(sweepsAroundCommits().empty()); // unset: checking off
+
+    // "drain" adds the dense sweeps: the count grows at every commit.
+    ASSERT_EQ(setenv("COMMTM_CHECK_INVARIANTS", "drain", 1), 0);
+    std::vector<uint64_t> seen = sweepsAroundCommits();
+    ASSERT_EQ(seen.size(), 4u);
+    for (size_t i = 1; i < seen.size(); i++)
+        EXPECT_GT(seen[i], seen[i - 1]) << "commit " << i;
+
+    // Any other value, "commit" included, gives periodic sweeps only:
+    // a run this short stays inside the first sweep period.
+    for (const char *value : {"1", "commit"}) {
+        ASSERT_EQ(setenv("COMMTM_CHECK_INVARIANTS", value, 1), 0);
+        seen = sweepsAroundCommits();
+        ASSERT_EQ(seen.size(), 4u) << value;
+        for (size_t i = 1; i < seen.size(); i++)
+            EXPECT_EQ(seen[i], seen[0]) << value << ", commit " << i;
+    }
+    if (outer)
+        setenv("COMMTM_CHECK_INVARIANTS", saved.c_str(), 1);
+    else
+        unsetenv("COMMTM_CHECK_INVARIANTS");
 }
 
 /** The production entry point prints every violation and aborts. */

@@ -40,8 +40,7 @@ checkedConfig(uint32_t cores, uint64_t seed)
     c.seed = seed;
     c.recordCommits = true;
     c.checkInvariants = true;
-    c.invariantOnTxEnd = true;
-    c.invariantOnDrain = true;
+    c.denseInvariants = true;
     return c;
 }
 

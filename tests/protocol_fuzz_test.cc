@@ -60,10 +60,7 @@ fuzzConfig(uint64_t seed, uint32_t cores)
     // 130-256 cores multiplies Debug fuzz time ~10x without adding
     // invariant coverage.
     c.checkInvariants = true;
-    if (cores <= 128) {
-        c.invariantOnTxEnd = true;
-        c.invariantOnDrain = true;
-    }
+    c.denseInvariants = cores <= 128;
 
     return c;
 }
@@ -284,7 +281,7 @@ TEST_P(ProtocolFuzz, EagerLazyDifferentialCountersAgree)
         }
         m.run();
         DifferentialRun out;
-        out.log = m.commitLog()->serialize();
+        out.log = m.commitLog()->records();
         for (Addr a : counters) {
             const LineData line =
                 m.memSys().debugReducedValue(lineAddr(a));

@@ -9,7 +9,8 @@
  * re-execution passes on a known-good counter run and catches a
  * one-byte arg flip injected at replay time, for both an update op
  * and a recorded read. TopK and OrderedPut (including key ties) round
- * out the model coverage the fuzz tests don't reach.
+ * out the model coverage the fuzz tests don't reach, and recordOp's
+ * preconditions abort with a diagnostic in every build.
  */
 
 #include <gtest/gtest.h>
@@ -80,7 +81,7 @@ blindStoreRun(const MachineConfig &cfg, bool flip_eager_operand,
     }
     m.run();
     DifferentialRun out;
-    out.log = m.commitLog()->serialize();
+    out.log = m.commitLog()->records();
     const LineData line = m.memSys().debugReducedValue(lineAddr(cell));
     out.endState.assign(line.data(), line.data() + sizeof(int64_t));
     return out;
@@ -251,6 +252,23 @@ TEST(ReplayOracle, TopKAndOrderedPutModelsReplaySerially)
 
     std::string diag;
     EXPECT_TRUE(oracle.replaySerial(&diag)) << diag;
+}
+
+/** recordOp misuse aborts with a diagnostic in Release too: an op
+ *  recorded before the core's first commit has no transaction to
+ *  attach to, and an unregistered structId has no model. */
+TEST(ReplayOracleDeathTest, RecordOpRejectsMisuse)
+{
+    Machine m(smallConfig(2));
+    ReplayOracle oracle(m);
+    const std::vector<Addr> counters{m.allocator().allocLines(1)};
+    const uint32_t cm =
+        oracle.addModel(std::make_unique<CounterModel>(counters));
+    ThreadContext &ctx = m.addThread([](ThreadContext &) {});
+    EXPECT_DEATH(oracle.recordOp(ctx, CounterModel::add(cm, 0, 1)),
+                 "recordOp on core 0 before its first commit");
+    EXPECT_DEATH(oracle.recordOp(ctx, ModelOp{cm + 1, 0, true, {}}),
+                 "structId 1 is not a registered model");
 }
 
 } // namespace
