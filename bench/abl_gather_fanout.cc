@@ -17,59 +17,40 @@ namespace {
 
 constexpr uint32_t kThreads = 64;
 
-void
-BM_Ablation_GatherFanout_Refcount(benchmark::State &state)
+/** One row per gather fanout limit (0 = every sharer). */
+std::vector<benchutil::Row>
+fanoutRows(MicroResult (*run)(const MachineConfig &))
 {
-    const auto fanout = uint32_t(state.range(0));
-    MicroResult r;
-    for (auto _ : state) {
+    std::vector<benchutil::Row> rows;
+    for (const uint32_t fanout : {0u, 4u, 16u, 48u}) {
         MachineConfig cfg = benchutil::machineCfg(SystemMode::CommTm);
         cfg.gatherFanoutLimit = fanout;
-        r = runRefcountMicro(cfg, kThreads, 64000);
+        rows.push_back({fanout == 0 ? "all sharers (paper)"
+                                    : "fanout " + std::to_string(fanout),
+                        [=] {
+                            const MicroResult r = run(cfg);
+                            return benchutil::RowResult{r.stats,
+                                                        r.valid};
+                        }});
     }
-    if (!r.valid)
-        state.SkipWithError("refcount validation failed");
-    benchutil::reportStats(state, "abl_fanout_refcount", r.stats);
-    state.counters["fanout"] = fanout;
-    state.SetLabel(fanout == 0 ? "all sharers (paper)"
-                               : "fanout " + std::to_string(fanout));
+    return rows;
 }
 
-void
-BM_Ablation_GatherFanout_List(benchmark::State &state)
+MicroResult
+refcount(const MachineConfig &cfg)
 {
-    const auto fanout = uint32_t(state.range(0));
-    MicroResult r;
-    for (auto _ : state) {
-        MachineConfig cfg = benchutil::machineCfg(SystemMode::CommTm);
-        cfg.gatherFanoutLimit = fanout;
-        r = runListMicro(cfg, kThreads, 32000, 50, 16);
-    }
-    if (!r.valid)
-        state.SkipWithError("list validation failed");
-    benchutil::reportStats(state, "abl_fanout_list", r.stats);
-    state.counters["fanout"] = fanout;
-    state.SetLabel(fanout == 0 ? "all sharers (paper)"
-                               : "fanout " + std::to_string(fanout));
+    return runRefcountMicro(cfg, kThreads, 64000);
 }
+
+MicroResult
+mixedList(const MachineConfig &cfg)
+{
+    return runListMicro(cfg, kThreads, 32000, 50, 16);
+}
+
+const benchutil::Register kRefcount("abl_fanout_refcount",
+                                    fanoutRows(refcount));
+const benchutil::Register kList("abl_fanout_list", fanoutRows(mixedList));
 
 } // namespace
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Ablation_GatherFanout_Refcount)
-    ->Arg(0)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(48)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(commtm::BM_Ablation_GatherFanout_List)
-    ->Arg(0)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(48)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

@@ -1,13 +1,11 @@
 /**
  * @file
  * Perf-baseline file I/O: the exact-counter records behind
- * --check-baseline / --write-baseline (see bench_util.h and
+ * commtm_bench's --check-baseline / --write-baseline (see
  * docs/BENCHMARKS.md, "Perf baselines and regression checking").
  *
- * Split out of bench_util.h so the regression tests can exercise the
- * parser without linking google-benchmark: this header depends only on
- * the standard library. The benchmark-facing glue (reportStats,
- * benchMain) stays in bench_util.h.
+ * This header depends only on the standard library, so the regression
+ * tests and bench/perf use the parser without the bench families.
  */
 
 #ifndef COMMTM_BENCH_BASELINE_IO_H
@@ -53,11 +51,14 @@ struct Entry {
 using Family = std::map<std::string, Entry>;
 using File = std::map<std::string, Family>;
 
-/** Rows recorded by reportStats() in this process, in run order. */
+/** Rows commtm_bench produced in this process, in run order. */
 struct Recorded {
     std::string family;
     std::string row;
     Entry entry;
+    /** The row's end state validated; an invalid row is never merged
+     *  into a baseline file and always fails check(). */
+    bool valid = true;
 };
 
 inline std::vector<Recorded> &
@@ -364,21 +365,39 @@ save(const std::string &path, const File &file)
     return bool(out);
 }
 
-/** Merge this run's rows into @p file (replacing recorded families). */
+/**
+ * Merge this run's valid rows into @p file. A filtered run replaces
+ * only the rows it produced. An unfiltered run also drops every row
+ * it did not produce, so the file ends up pinning exactly the run's
+ * rows. Invalid rows are never merged: they keep whatever @p file
+ * pinned before.
+ */
 inline void
-mergeRecorded(File &file)
+mergeRecorded(File &file, bool filtered)
 {
-    for (const auto &r : recordedRows())
-        file[r.family].erase(r.row); // replaced below; keeps other rows
-    for (const auto &r : recordedRows())
-        file[r.family][r.row] = r.entry;
+    if (!filtered) {
+        File produced;
+        for (const auto &r : recordedRows()) {
+            const auto fam = file.find(r.family);
+            if (fam == file.end())
+                continue;
+            const auto row = fam->second.find(r.row);
+            if (row != fam->second.end())
+                produced[r.family][r.row] = row->second;
+        }
+        file.swap(produced);
+    }
+    for (const auto &r : recordedRows()) {
+        if (r.valid)
+            file[r.family][r.row] = r.entry;
+    }
 }
 
 /**
- * Compare this run's rows against @p file. Counters are exact;
- * speedup uses a 1e-6 relative tolerance and is skipped entirely when
- * @p filtered (a --benchmark_filter run may have skipped the family's
- * reference row, which redefines every speedup in the family).
+ * Compare this run's rows against @p file. Counters are exact and
+ * speedup uses a 1e-6 relative tolerance. An invalid row always
+ * fails. An unfiltered run also fails on every row of @p file that
+ * it did not produce (a dropped sweep point or family).
  */
 inline bool
 check(const File &file, bool filtered)
@@ -396,6 +415,14 @@ check(const File &file, bool filtered)
         ok = false;
     };
     for (const auto &r : recordedRows()) {
+        if (!r.valid) {
+            std::fprintf(stderr,
+                         "baseline INVALID row [%s] %s: its end state "
+                         "failed validation\n",
+                         r.family.c_str(), r.row.c_str());
+            ok = false;
+            continue;
+        }
         const auto fam = file.find(r.family);
         if (fam == file.end()) {
             std::fprintf(stderr,
@@ -446,19 +473,33 @@ check(const File &file, bool filtered)
                              std::to_string(want.p999));
             }
         }
-        if (!filtered) {
-            const double tol =
-                1e-6 * std::max(std::fabs(got.speedup),
-                                std::fabs(want.speedup));
-            if (std::fabs(got.speedup - want.speedup) > tol)
-                complain(r, "speedup", std::to_string(got.speedup),
-                         std::to_string(want.speedup));
+        const double tol =
+            1e-6 * std::max(std::fabs(got.speedup),
+                            std::fabs(want.speedup));
+        if (std::fabs(got.speedup - want.speedup) > tol)
+            complain(r, "speedup", std::to_string(got.speedup),
+                     std::to_string(want.speedup));
+    }
+    if (!filtered) {
+        File produced;
+        for (const auto &r : recordedRows())
+            produced[r.family][r.row] = r.entry;
+        for (const auto &[family, rows] : file) {
+            const auto fam = produced.find(family);
+            for (const auto &entry : rows) {
+                if (fam != produced.end() && fam->second.count(entry.first))
+                    continue;
+                std::fprintf(stderr,
+                             "baseline UNCHECKED row [%s] %s: pinned, "
+                             "but no family produced it\n",
+                             family.c_str(), entry.first.c_str());
+                ok = false;
+            }
         }
     }
     if (ok) {
-        std::fprintf(stderr,
-                     "baseline check PASSED: %zu rows exact%s\n", checked,
-                     filtered ? " (speedup skipped: filtered run)" : "");
+        std::fprintf(stderr, "baseline check PASSED: %zu rows exact\n",
+                     checked);
     }
     return ok;
 }

@@ -1,46 +1,27 @@
 /**
  * @file
- * Shared benchmark-harness utilities. Every bench binary regenerates
- * one table or figure of the paper: each google-benchmark row is one
- * (system, thread-count) point, with counters carrying the simulated
- * results (cycles, speedup vs. the baseline HTM at 1 thread, abort and
- * traffic breakdowns). Wall time of the rows is simulator host time
- * and is not meaningful; read the counters.
- *
- * Perf-baseline subsystem: because every run is a deterministic
- * function of the seed, exact counter values can be checked in
- * (bench/baselines.json) and compared on every CI run. Figure benches
- * use COMMTM_BENCH_MAIN(), which accepts
- *
- *   --check-baseline[=path]   after running, compare each row's
- *                             sim_cycles/commits/aborts (exact) and
- *                             speedup (1e-6 relative) against the
- *                             baseline file; nonzero exit on mismatch.
- *   --write-baseline[=path]   regenerate this binary's families in the
- *                             baseline file, preserving the others.
- *
- * See docs/BENCHMARKS.md ("Perf baselines and regression checking").
+ * The bench family registry. Each bench source regenerates one
+ * table, figure, or ablation of the paper by registering families: a
+ * name ("fig09") and an ordered list of rows, each a label
+ * ("CommTM @128t") plus a function that runs the simulation and
+ * returns its StatsSnapshot, whether its end state validated, and
+ * any extra counters. A family's first row is its speedup reference.
+ * commtm_bench (commtm_bench.cc) runs the rows, prints their
+ * counters, and checks or writes bench/baselines.json; see
+ * docs/BENCHMARKS.md.
  */
 
 #ifndef COMMTM_BENCH_BENCH_UTIL_H
 #define COMMTM_BENCH_BENCH_UTIL_H
 
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
-#include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "baseline_io.h"
-#include "rt/open_loop.h"
 #include "sim/config.h"
-#include "sim/latency_hist.h"
 #include "sim/stats.h"
-
-#ifndef COMMTM_BASELINE_FILE
-#define COMMTM_BASELINE_FILE "bench/baselines.json"
-#endif
 
 namespace commtm {
 namespace benchutil {
@@ -93,255 +74,114 @@ rowName(SystemMode mode, ConflictDetection detection, uint32_t threads)
     return row + " @" + std::to_string(threads) + "t";
 }
 
-/** Per-figure cache of the reference runtime (baseline HTM, 1 thread).
- *  Rows must be registered baseline-first so the reference fills in
- *  before the other systems report speedups. */
-inline double &
-referenceCycles(const std::string &family)
+/** What one row reports. */
+struct RowResult {
+    StatsSnapshot stats;
+    /** The workload's end state passed its check. An invalid row
+     *  fails the run in every mode and is never pinned. */
+    bool valid = false;
+    /** Workload-specific counters, printed after the standard ones. */
+    std::vector<std::pair<std::string, uint64_t>> extra{};
+    /** Open-loop rows: measurement-window latency quantiles in
+     *  simulated cycles, pinned alongside the exact counters. */
+    bool hasQuantiles = false;
+    uint64_t p50 = 0;
+    uint64_t p99 = 0;
+    uint64_t p999 = 0;
+};
+
+struct Row {
+    std::string label;
+    std::function<RowResult()> run;
+};
+
+struct Family {
+    std::string name;
+    /** Run order; rows[0] is the speedup reference. */
+    std::vector<Row> rows;
+};
+
+/** Every registered family, in registration order. */
+inline std::vector<Family> &
+families()
 {
-    static std::map<std::string, double> cache;
-    return cache[family];
+    static std::vector<Family> all;
+    return all;
 }
 
-// ---------------------------------------------------------------------
-// Baseline recording and checking: the Entry/File types, the JSON
-// parser, and load/save/check live in baseline_io.h (benchmark-free,
-// so tests/bench_baseline_test.cc links them without google-benchmark).
-// ---------------------------------------------------------------------
+/** Registers a family at static-initialization time:
+ *  `const benchutil::Register kFig09("fig09", rows);` */
+struct Register {
+    Register(std::string name, std::vector<Row> rows)
+    {
+        families().push_back({std::move(name), std::move(rows)});
+    }
+};
 
-/** Fill the standard counters every figure reports (no row label, no
- *  baseline recording — ablation/extension benches label themselves). */
-inline void
-reportStats(benchmark::State &state, const std::string &family,
-            const StatsSnapshot &stats)
-{
-    const ThreadStats agg = stats.aggregateThreads();
-    const double cycles = double(stats.runtimeCycles());
-    double &base = referenceCycles(family);
-    if (base == 0.0)
-        base = cycles;
-
-    state.counters["sim_Mcycles"] = cycles / 1e6;
-    state.counters["speedup"] = base / cycles;
-    state.counters["commits"] = double(agg.txCommitted);
-    state.counters["aborts"] = double(agg.txAborted);
-
-    // Fig. 17-style cycle breakdown.
-    const double total = double(agg.totalCycles());
-    state.counters["cyc_nonTx%"] =
-        total ? 100.0 * double(agg.nonTxCycles) / total : 0;
-    state.counters["cyc_committed%"] =
-        total ? 100.0 * double(agg.txCommittedCycles) / total : 0;
-    state.counters["cyc_wasted%"] =
-        total ? 100.0 * double(agg.txAbortedCycles) / total : 0;
-
-    // Fig. 18-style wasted-cycle breakdown.
-    const double wasted = double(agg.txAbortedCycles);
-    const auto frac = [&](WasteBucket b) {
-        return wasted ? 100.0 * double(agg.wastedByCause[size_t(b)]) /
-                            wasted
-                      : 0.0;
-    };
-    state.counters["waste_RaW%"] = frac(WasteBucket::ReadAfterWrite);
-    state.counters["waste_WaR%"] = frac(WasteBucket::WriteAfterRead);
-    state.counters["waste_gather%"] =
-        frac(WasteBucket::GatherAfterLabeled);
-    state.counters["waste_other%"] = frac(WasteBucket::Others);
-
-    // Fig. 19-style GET breakdown (L2 <-> L3 requests).
-    state.counters["GETS"] =
-        double(stats.machine.l3Gets[size_t(GetType::GETS)]);
-    state.counters["GETX"] =
-        double(stats.machine.l3Gets[size_t(GetType::GETX)]);
-    state.counters["GETU"] =
-        double(stats.machine.l3Gets[size_t(GetType::GETU)]);
-
-    state.counters["labeled_frac"] =
-        agg.instrs ? double(agg.labeledInstrs) / double(agg.instrs) : 0;
-    state.counters["reductions"] = double(stats.machine.reductions);
-    state.counters["gathers"] = double(stats.machine.gathers);
-}
+using SweepFn =
+    std::function<RowResult(const MachineConfig &cfg, uint32_t threads)>;
 
 /**
- * Figure-bench variant with an explicit row label: fill the standard
- * counters, label the row, and record the exact counters for the
- * baseline subsystem (--check-baseline / --write-baseline). Used by
- * benches whose rows are not fully described by (mode, threads) —
- * e.g. the eager/lazy variants of the new STAMP workloads.
+ * The figure sweep: one row per (mode, detection, threads), nested in
+ * that order and labeled rowName(). @p fn runs the workload on
+ * machineCfg(mode, detection, threads). Listing Baseline first makes
+ * the family's reference the eager baseline HTM at the fewest threads.
  */
-inline void
-reportStats(benchmark::State &state, const std::string &family,
-            const std::string &row, const StatsSnapshot &stats)
+inline std::vector<Row>
+sweep(const std::vector<SystemMode> &modes,
+      const std::vector<ConflictDetection> &detections,
+      const std::vector<uint32_t> &threads, const SweepFn &fn)
 {
-    reportStats(state, family, stats);
-    const ThreadStats agg = stats.aggregateThreads();
-    state.SetLabel(row);
-    baseline::Recorded rec;
-    rec.family = family;
-    rec.row = row;
-    rec.entry.simCycles = stats.runtimeCycles();
-    rec.entry.commits = agg.txCommitted;
-    rec.entry.aborts = agg.txAborted;
-    rec.entry.speedup =
-        referenceCycles(family) / double(stats.runtimeCycles());
-    baseline::recordedRows().push_back(rec);
+    std::vector<Row> rows;
+    for (const SystemMode mode : modes) {
+        for (const ConflictDetection det : detections) {
+            for (const uint32_t t : threads) {
+                const MachineConfig cfg = machineCfg(mode, det, t);
+                rows.push_back(
+                    {rowName(mode, det, t), [=] { return fn(cfg, t); }});
+            }
+        }
+    }
+    return rows;
 }
 
-/**
- * Open-loop service-bench variant: the standard counters plus the
- * measurement-window latency quantiles (simulated cycles, exact) and
- * the queueing outcomes, with p50/p99/p999 recorded into the baseline
- * row (docs/BENCHMARKS.md, "Open-loop service rows"). @p hist must be
- * the measurement-window merge — warmup requests are excluded by
- * construction (rt/open_loop.h).
- */
-inline void
-reportServiceStats(benchmark::State &state, const std::string &family,
-                   const std::string &row, const StatsSnapshot &stats,
-                   const LatencyHistogram &hist,
-                   const ServiceStats &svc)
+/** Eager-only figure sweep ("Baseline @1t", "CommTM @128t", ...). */
+inline std::vector<Row>
+sweep(const std::vector<SystemMode> &modes,
+      const std::vector<uint32_t> &threads, const SweepFn &fn)
 {
-    reportStats(state, family, row, stats);
-    state.counters["p50_cyc"] = double(hist.p50());
-    state.counters["p99_cyc"] = double(hist.p99());
-    state.counters["p999_cyc"] = double(hist.p999());
-    state.counters["admitted"] = double(svc.admitted);
-    state.counters["dropped"] = double(svc.dropped);
-    state.counters["qdepth_max"] = double(svc.maxDepth);
-    baseline::Entry &entry = baseline::recordedRows().back().entry;
-    entry.hasQuantiles = true;
-    entry.p50 = hist.p50();
-    entry.p99 = hist.p99();
-    entry.p999 = hist.p999();
-}
-
-/**
- * Figure-bench variant: standard "<Mode> @<threads>t" row label.
- */
-inline void
-reportStats(benchmark::State &state, const std::string &family,
-            SystemMode mode, uint32_t threads, const StatsSnapshot &stats)
-{
-    reportStats(state, family,
-                std::string(modeName(mode)) + " @" +
-                    std::to_string(threads) + "t",
-                stats);
+    return sweep(modes, {ConflictDetection::Eager}, threads, fn);
 }
 
 /** Thread counts swept in the paper's figures (x-axes of Figs. 9-16). */
-inline const std::vector<int64_t> &
+inline const std::vector<uint32_t> &
 threadSweep()
 {
-    static const std::vector<int64_t> sweep = {1, 2, 4, 8, 16,
-                                               32, 64, 96, 128};
-    return sweep;
+    static const std::vector<uint32_t> threads = {1, 2, 4, 8, 16,
+                                                  32, 64, 96, 128};
+    return threads;
 }
 
 /** threadSweep extended past the paper's 128-thread machine, for the
  *  benches that probe the scaled (256-core) geometry and the spilled
  *  sharer representation. */
-inline const std::vector<int64_t> &
+inline const std::vector<uint32_t> &
 extendedThreadSweep()
 {
-    static const std::vector<int64_t> sweep = {1, 2, 4, 8, 16, 32,
-                                               64, 96, 128, 256};
-    return sweep;
+    static const std::vector<uint32_t> threads = {1, 2, 4, 8, 16, 32,
+                                                  64, 96, 128, 256};
+    return threads;
 }
 
 /** Reduced sweep for the (slower) full applications. */
-inline const std::vector<int64_t> &
+inline const std::vector<uint32_t> &
 appThreadSweep()
 {
-    static const std::vector<int64_t> sweep = {1, 8, 32, 64, 128};
-    return sweep;
-}
-
-/**
- * main() for figure benches: google-benchmark plus the
- * --check-baseline / --write-baseline modes described in the file
- * header. Unrecognized flags still error out via benchmark itself.
- */
-inline int
-benchMain(int argc, char **argv)
-{
-    bool check_mode = false;
-    bool write_mode = false;
-    bool filtered = false;
-    std::string path = COMMTM_BASELINE_FILE;
-    std::vector<char *> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        const auto value_of = [&](const char *flag) {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0) {
-                path = arg.substr(prefix.size());
-                return true;
-            }
-            return arg == flag;
-        };
-        if (value_of("--check-baseline")) {
-            check_mode = true;
-        } else if (value_of("--write-baseline")) {
-            write_mode = true;
-        } else {
-            if (arg.rfind("--benchmark_filter", 0) == 0)
-                filtered = true;
-            args.push_back(argv[i]);
-        }
-    }
-    int bench_argc = int(args.size());
-    benchmark::Initialize(&bench_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
-    if (write_mode) {
-        if (filtered) {
-            // A filtered run latches the wrong speedup reference
-            // (referenceCycles fills from the first row that runs),
-            // which would poison the written speedups.
-            std::fprintf(stderr,
-                         "--write-baseline refuses to run with "
-                         "--benchmark_filter: run the full sweep\n");
-            return 1;
-        }
-        baseline::File file;
-        std::string err;
-        baseline::load(path, file, err); // absent/empty file is fine
-        baseline::mergeRecorded(file);
-        if (!baseline::save(path, file)) {
-            std::fprintf(stderr, "cannot write baseline file %s\n",
-                         path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "baseline updated: %s (%zu rows)\n",
-                     path.c_str(),
-                     baseline::recordedRows().size());
-    }
-    if (check_mode) {
-        baseline::File file;
-        std::string err;
-        if (!baseline::load(path, file, err)) {
-            std::fprintf(stderr, "baseline check FAILED: %s\n",
-                         err.c_str());
-            return 1;
-        }
-        if (!baseline::check(file, filtered))
-            return 1;
-    }
-    return 0;
+    static const std::vector<uint32_t> threads = {1, 8, 32, 64, 128};
+    return threads;
 }
 
 } // namespace benchutil
 } // namespace commtm
-
-/** Use instead of BENCHMARK_MAIN() in benches with checked-in baselines. */
-#define COMMTM_BENCH_MAIN()                                               \
-    int main(int argc, char **argv)                                       \
-    {                                                                     \
-        return commtm::benchutil::benchMain(argc, argv);                  \
-    }
 
 #endif // COMMTM_BENCH_BENCH_UTIL_H

@@ -120,109 +120,70 @@ replayCfg(ConflictDetection detection, uint32_t threads)
                                  threads);
 }
 
-void
-BM_Replay_Counter(benchmark::State &state)
+/** Replay the counter capture on @p cfg; valid when all increments
+ *  land. */
+benchutil::RowResult
+replayCounter(const MachineConfig &cfg, uint32_t threads)
 {
-    const auto detection = ConflictDetection(state.range(0));
-    const auto threads = uint32_t(state.range(1));
     const Trace &t = counterCapture(threads);
-    StatsSnapshot stats;
-    for (auto _ : state) {
-        MachineConfig cfg = replayCfg(detection, threads);
-        Machine m(cfg);
-        const Label add = CommCounter::defineLabel(m);
-        CommCounter counter(m, add);
-        ReplayFrontend fe(t);
-        fe.attach(m);
-        m.run();
-        if (counter.peek(m) != int64_t(kCounterOps))
-            state.SkipWithError("counter end-state validation failed");
-        stats = m.stats();
-    }
-    benchutil::reportStats(
-        state, "replay",
-        benchutil::rowName(SystemMode::CommTm, detection, threads),
-        stats);
+    Machine m(cfg);
+    const Label add = CommCounter::defineLabel(m);
+    CommCounter counter(m, add);
+    ReplayFrontend fe(t);
+    fe.attach(m);
+    m.run();
+    return {m.stats(), counter.peek(m) == int64_t(kCounterOps)};
 }
 
-void
-BM_Replay_CounterSmallCache(benchmark::State &state)
+/** Replay the list capture on @p cfg. Determinism pin, not a
+ *  functional pin (file header): valid when each captured transaction
+ *  committed exactly once. */
+benchutil::RowResult
+replayList(const MachineConfig &cfg, uint32_t threads)
 {
-    const auto threads = uint32_t(state.range(0));
-    const Trace &t = counterCapture(threads);
-    StatsSnapshot stats;
-    for (auto _ : state) {
+    const Trace &t = listCapture(threads);
+    Machine m(cfg);
+    (void)CommList::defineLabel(m);
+    ReplayFrontend fe(t);
+    fe.attach(m);
+    m.run();
+    const StatsSnapshot stats = m.stats();
+    return {stats, stats.aggregateThreads().txCommitted == kListOps};
+}
+
+std::vector<benchutil::Row>
+replayRows()
+{
+    // Eager counter rows come first: the @1t eager replay is the
+    // family's speedup reference.
+    std::vector<benchutil::Row> rows = benchutil::sweep(
+        {SystemMode::CommTm},
+        {ConflictDetection::Eager, ConflictDetection::Lazy},
+        benchutil::extendedThreadSweep(), replayCounter);
+    for (const uint32_t threads : {16u, 64u, 128u, 256u}) {
         // Half-size caches at every level: the same capture under
         // real eviction pressure (U evictions, writebacks).
-        MachineConfig cfg =
-            replayCfg(ConflictDetection::Eager, threads);
+        MachineConfig cfg = replayCfg(ConflictDetection::Eager, threads);
         cfg.l1SizeKB /= 2;
         cfg.l2SizeKB /= 2;
         cfg.l3SizeKB /= 2;
-        Machine m(cfg);
-        const Label add = CommCounter::defineLabel(m);
-        CommCounter counter(m, add);
-        ReplayFrontend fe(t);
-        fe.attach(m);
-        m.run();
-        if (counter.peek(m) != int64_t(kCounterOps))
-            state.SkipWithError("counter end-state validation failed");
-        stats = m.stats();
+        rows.push_back({"CommTM/small$ @" + std::to_string(threads) + "t",
+                        [=] { return replayCounter(cfg, threads); }});
     }
-    benchutil::reportStats(state, "replay",
-                           "CommTM/small$ @" +
-                               std::to_string(threads) + "t",
-                           stats);
+    for (const ConflictDetection det :
+         {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+        for (const uint32_t threads : {1u, 8u, 32u, 128u, 256u}) {
+            const MachineConfig cfg = replayCfg(det, threads);
+            const std::string row =
+                det == ConflictDetection::Lazy ? "list/lazy" : "list";
+            rows.push_back({row + " @" + std::to_string(threads) + "t",
+                            [=] { return replayList(cfg, threads); }});
+        }
+    }
+    return rows;
 }
 
-void
-BM_Replay_List(benchmark::State &state)
-{
-    const auto detection = ConflictDetection(state.range(0));
-    const auto threads = uint32_t(state.range(1));
-    const Trace &t = listCapture(threads);
-    StatsSnapshot stats;
-    for (auto _ : state) {
-        MachineConfig cfg = replayCfg(detection, threads);
-        Machine m(cfg);
-        (void)CommList::defineLabel(m);
-        ReplayFrontend fe(t);
-        fe.attach(m);
-        m.run();
-        stats = m.stats();
-        // Determinism pin, not a functional pin (file header): check
-        // that each captured transaction committed exactly once.
-        if (stats.aggregateThreads().txCommitted != kListOps)
-            state.SkipWithError("replayed commit count mismatch");
-    }
-    std::string row = "list";
-    if (detection == ConflictDetection::Lazy)
-        row += "/lazy";
-    benchutil::reportStats(state, "replay",
-                           row + " @" + std::to_string(threads) + "t",
-                           stats);
-}
+const benchutil::Register kReplay("replay", replayRows());
 
 } // namespace
 } // namespace commtm
-
-// Eager counter rows run first: the @1t eager replay is the family's
-// speedup reference.
-BENCHMARK(commtm::BM_Replay_Counter)
-    ->ArgsProduct({{int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)},
-                   commtm::benchutil::extendedThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(commtm::BM_Replay_CounterSmallCache)
-    ->ArgsProduct({{16, 64, 128, 256}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(commtm::BM_Replay_List)
-    ->ArgsProduct({{int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)},
-                   {1, 8, 32, 128, 256}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

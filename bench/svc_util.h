@@ -16,6 +16,7 @@
 #include "bench_util.h"
 
 #include "rt/open_loop.h"
+#include "sim/latency_hist.h"
 
 namespace commtm {
 namespace benchutil {
@@ -73,11 +74,11 @@ svcRowName(SystemMode mode, ConflictDetection detection,
 
 /** Thread counts of the service sweep: the high-contention end the
  *  tail-latency story is about. */
-inline const std::vector<int64_t> &
+inline const std::vector<uint32_t> &
 svcThreadSweep()
 {
-    static const std::vector<int64_t> sweep = {64, 128, 256};
-    return sweep;
+    static const std::vector<uint32_t> threads = {64, 128, 256};
+    return threads;
 }
 
 /** Shared open-loop window shape of every service bench. */
@@ -95,21 +96,59 @@ svcConfig(uint32_t arrival_index, double service_cycles,
     return cfg;
 }
 
+/**
+ * The standard service sweep: {Baseline, CommTM} x {eager, lazy} x
+ * arrival x threads, with the Baseline/eager/ld50/64t row first (the
+ * family speedup reference). @p fn runs the service on
+ * machineCfg(mode, detection, threads) at sweep point @p arrival.
+ */
+inline std::vector<Row>
+svcSweep(const std::function<RowResult(const MachineConfig &cfg,
+                                       uint32_t arrival,
+                                       uint32_t threads)> &fn)
+{
+    std::vector<Row> rows;
+    for (const SystemMode mode :
+         {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (const ConflictDetection det :
+             {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+            for (uint32_t arrival = 0; arrival < svcArrivals().size();
+                 arrival++) {
+                for (const uint32_t threads : svcThreadSweep()) {
+                    const MachineConfig cfg =
+                        machineCfg(mode, det, threads);
+                    rows.push_back(
+                        {svcRowName(mode, det, arrival, threads),
+                         [=] { return fn(cfg, arrival, threads); }});
+                }
+            }
+        }
+    }
+    return rows;
+}
+
+/** Row result of a service run: the standard counters plus the
+ *  measurement-window latency quantiles (simulated cycles, exact) and
+ *  the queueing outcomes. @p hist must be the measurement-window
+ *  merge — warmup requests are excluded by construction
+ *  (rt/open_loop.h). */
+inline RowResult
+serviceResult(const StatsSnapshot &stats, bool valid,
+              const LatencyHistogram &hist, const ServiceStats &svc)
+{
+    RowResult r{stats,
+                valid,
+                {{"admitted", svc.admitted},
+                 {"dropped", svc.dropped},
+                 {"qdepth_max", svc.maxDepth}}};
+    r.hasQuantiles = true;
+    r.p50 = hist.p50();
+    r.p99 = hist.p99();
+    r.p999 = hist.p999();
+    return r;
+}
+
 } // namespace benchutil
 } // namespace commtm
-
-/** Registers the standard service sweep for one benchmark function:
- *  {Baseline, CommTM} x {eager, lazy} x arrival x threads, with the
- *  Baseline/eager/ld50/64t row first (the family speedup reference). */
-#define COMMTM_SVC_SWEEP(fn)                                              \
-    BENCHMARK(fn)                                                         \
-        ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),             \
-                        int(commtm::SystemMode::CommTm)},                 \
-                       {int(commtm::ConflictDetection::Eager),            \
-                        int(commtm::ConflictDetection::Lazy)},            \
-                       {0, 1, 2},                                         \
-                       commtm::benchutil::svcThreadSweep()})              \
-        ->Iterations(1)                                                   \
-        ->Unit(benchmark::kMillisecond)
 
 #endif // COMMTM_BENCH_SVC_UTIL_H

@@ -54,8 +54,8 @@ Machine::Machine(MachineConfig cfg)
     // for any run (the CI baseline legs use it to prove the wall is
     // bit-identical with the hooks live). Any value enables capture;
     // a value containing '/' or '.' is additionally taken as a path
-    // that run() serializes the capture to (tools/trace_info.py
-    // consumes it).
+    // that run() serializes the capture to (`commtm_bench
+    // --trace-info` validates it).
     const char *trace_env = std::getenv("COMMTM_CAPTURE_TRACE");
     if (cfg_.captureTrace || trace_env) {
         trace_ = std::make_unique<TraceWriter>(cfg_);

@@ -1,11 +1,12 @@
 /**
  * @file
- * On-disk trace format shared by TraceWriter, TraceReader, and
- * tools/trace_info.py (docs/ARCHITECTURE.md Sec. 11). A trace is the
- * logical per-thread operation stream of one Machine run — the ops a
- * workload body issued through ThreadContext, recorded at the API
- * level (pre label demotion, pre lazy-store conversion) so a replay
- * re-resolves those decisions through the live machine it runs on.
+ * On-disk trace format shared by TraceWriter and TraceReader
+ * (docs/ARCHITECTURE.md Sec. 11; `commtm_bench --trace-info` dumps and
+ * validates a capture file). A trace is the logical per-thread
+ * operation stream of one Machine run — the ops a workload body
+ * issued through ThreadContext, recorded at the API level (pre label
+ * demotion, pre lazy-store conversion) so a replay re-resolves those
+ * decisions through the live machine it runs on.
  *
  * Layout (all integers little-endian; varints are LEB128):
  *

@@ -1,7 +1,8 @@
 /**
  * @file
- * Regression tests for the perf-baseline JSON reader/writer
- * (bench/baseline_io.h). Two historical bugs anchor these:
+ * Regression tests for the perf-baseline JSON reader/writer and the
+ * check/merge rules (bench/baseline_io.h). Four historical bugs
+ * anchor these:
  *
  *  - parseNumber handed p_ straight to strtod, which scans until a
  *    non-number byte; on a buffer that ends mid-number (truncated
@@ -14,6 +15,15 @@
  *    sim_cycles value above 2^53 was rounded to the nearest
  *    representable double and the "exact" baseline check compared
  *    rounded values. The counters now parse as uint64_t directly.
+ *
+ *  - A row whose end state failed validation was still recorded, so
+ *    --write-baseline pinned it and --check-baseline passed it.
+ *    Invalid rows now never merge and always fail the check.
+ *
+ *  - check() compared only the rows the run produced, so a sweep
+ *    point or family dropped from the benches passed silently. An
+ *    unfiltered check now fails on every pinned row nobody produced,
+ *    and an unfiltered write pins exactly the produced rows.
  */
 
 #include <gtest/gtest.h>
@@ -313,10 +323,71 @@ TEST(BaselineCheck, MergeReplacesRecordedRowsOnly)
     file["figA"]["row1"] = {99, 9, 9, 9.0};
     file["figA"]["row2"] = {7, 7, 7, 7.0};
     file["figB"]["rowX"] = {5, 5, 5, 5.0};
-    mergeRecorded(file);
+    mergeRecorded(file, /*filtered=*/true);
     EXPECT_EQ(file["figA"]["row1"].simCycles, 10u);
     EXPECT_EQ(file["figA"]["row2"].simCycles, 7u); // untouched
     EXPECT_EQ(file["figB"]["rowX"].simCycles, 5u); // untouched
+    recordedRows().clear();
+}
+
+TEST(BaselineCheck, UnfilteredMergeKeepsExactlyTheProducedRows)
+{
+    recordedRows().clear();
+    recordedRows().push_back({"figA", "row1", {10, 1, 0, 1.0}});
+    recordedRows().push_back({"figC", "new", {3, 3, 3, 3.0}});
+    File file;
+    file["figA"]["row1"] = {99, 9, 9, 9.0};
+    file["figA"]["row2"] = {7, 7, 7, 7.0};
+    file["figB"]["rowX"] = {5, 5, 5, 5.0};
+    mergeRecorded(file, /*filtered=*/false);
+    ASSERT_EQ(file.size(), 2u);
+    ASSERT_EQ(file["figA"].size(), 1u);
+    EXPECT_EQ(file["figA"]["row1"].simCycles, 10u);
+    EXPECT_EQ(file["figC"]["new"].simCycles, 3u);
+    recordedRows().clear();
+}
+
+TEST(BaselineCheck, UnfilteredCheckFailsOnUnproducedRows)
+{
+    File file;
+    file["figA"]["row1"] = {10, 1, 0, 1.0};
+    file["figA"]["row2"] = {7, 7, 7, 7.0}; // a dropped sweep point
+    recordedRows().clear();
+    recordedRows().push_back({"figA", "row1", {10, 1, 0, 1.0}});
+    EXPECT_FALSE(check(file, /*filtered=*/false));
+    EXPECT_TRUE(check(file, /*filtered=*/true));
+
+    // A whole family no bench registers any more.
+    File dropped_family;
+    dropped_family["figA"]["row1"] = {10, 1, 0, 1.0};
+    dropped_family["figB"]["rowX"] = {5, 5, 5, 5.0};
+    EXPECT_FALSE(check(dropped_family, /*filtered=*/false));
+    EXPECT_TRUE(check(dropped_family, /*filtered=*/true));
+    recordedRows().clear();
+}
+
+TEST(BaselineCheck, InvalidRowsNeverPassOrMerge)
+{
+    // The row's counters match its pin exactly; only its end-state
+    // validation failed.
+    const Entry entry = {661, 1, 0, 1.0};
+    File file;
+    file["fam"]["row"] = entry;
+    recordedRows().clear();
+    recordedRows().push_back({"fam", "row", entry, /*valid=*/false});
+    EXPECT_FALSE(check(file, /*filtered=*/false));
+    EXPECT_FALSE(check(file, /*filtered=*/true));
+
+    // Neither kind of write pins it: a filtered merge leaves the file
+    // alone, and an unfiltered one keeps the previous pin.
+    recordedRows().back().entry.simCycles = 662;
+    File empty;
+    mergeRecorded(empty, /*filtered=*/true);
+    EXPECT_TRUE(empty.empty());
+    mergeRecorded(empty, /*filtered=*/false);
+    EXPECT_TRUE(empty.empty());
+    mergeRecorded(file, /*filtered=*/false);
+    EXPECT_EQ(file["fam"]["row"].simCycles, 661u);
     recordedRows().clear();
 }
 

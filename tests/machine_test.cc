@@ -170,6 +170,31 @@ TEST(Machine, LatenciesFollowHierarchy)
     m.run();
     EXPECT_EQ(warm, m.config().l1Latency);
     EXPECT_GT(cold, m.config().memLatency); // memory + L3 + NoC
+
+    // Exact realized latencies on the Table I machine: a cold read
+    // from memory, an L1 hit, and a read the directory serves while
+    // another core holds the line.
+    Machine table1{MachineConfig{}};
+    const Addr b = table1.allocator().allocLines(1);
+    Cycle mem = 0, l1 = 0, dir = 0;
+    table1.addThread([&](ThreadContext &ctx) {
+        Cycle t0 = ctx.now();
+        ctx.read<int64_t>(b);
+        mem = ctx.now() - t0;
+        t0 = ctx.now();
+        ctx.read<int64_t>(b);
+        l1 = ctx.now() - t0;
+    });
+    table1.addThread([&](ThreadContext &ctx) {
+        // Runs after core 0's cold read, which put it a quantum ahead.
+        const Cycle t0 = ctx.now();
+        ctx.read<int64_t>(b);
+        dir = ctx.now() - t0;
+    });
+    table1.run();
+    EXPECT_EQ(mem, 162u);
+    EXPECT_EQ(l1, 1u);
+    EXPECT_EQ(dir, 37u);
 }
 
 } // namespace
