@@ -21,6 +21,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <regex>
@@ -219,9 +220,7 @@ formatRecord(const TraceRecord &rec)
     std::snprintf(buf, sizeof(buf), " addr=0x%" PRIx64 " size=%u",
                   uint64_t(rec.addr), rec.size);
     out += buf;
-    if (rec.kind == TraceOpKind::LabeledLoad ||
-        rec.kind == TraceOpKind::LabeledStore ||
-        rec.kind == TraceOpKind::Gather) {
+    if (isLabeled(memOpOf(rec.kind))) {
         out += " label=" + (rec.label == kNoLabel
                                 ? std::string("-")
                                 : std::to_string(unsigned(rec.label)));
@@ -300,6 +299,19 @@ run(const Options &opt)
 {
     if (!opt.traceInfo.empty())
         return traceInfo(opt.traceInfo, opt.dump);
+    // Load the baseline file before running any row: a file that does
+    // not parse fails both modes at once and is never overwritten.
+    // Only --write-baseline accepts a missing file (it creates one).
+    baseline::File file;
+    if (opt.check || opt.write) {
+        std::string err;
+        const bool create =
+            opt.write && !std::filesystem::exists(opt.baselinePath);
+        if (!create && !baseline::load(opt.baselinePath, file, err)) {
+            std::fprintf(stderr, "baseline FAILED: %s\n", err.c_str());
+            return 1;
+        }
+    }
     runFamilies(opt);
     if (baseline::recordedRows().empty()) {
         std::fprintf(stderr, "no row matches --filter\n");
@@ -314,9 +326,6 @@ run(const Options &opt)
         status = 1;
     }
     if (opt.write) {
-        baseline::File file;
-        std::string err;
-        baseline::load(opt.baselinePath, file, err); // absent is fine
         baseline::mergeRecorded(file, opt.filtered);
         if (!baseline::save(opt.baselinePath, file)) {
             std::fprintf(stderr, "cannot write baseline file %s\n",
@@ -329,17 +338,8 @@ run(const Options &opt)
         std::fprintf(stderr, "baseline updated: %s (%zu rows)\n",
                      opt.baselinePath.c_str(), rows);
     }
-    if (opt.check) {
-        baseline::File file;
-        std::string err;
-        if (!baseline::load(opt.baselinePath, file, err)) {
-            std::fprintf(stderr, "baseline check FAILED: %s\n",
-                         err.c_str());
-            return 1;
-        }
-        if (!baseline::check(file, opt.filtered))
-            status = 1;
-    }
+    if (opt.check && !baseline::check(file, opt.filtered))
+        status = 1;
     return status;
 }
 

@@ -74,9 +74,6 @@ class HtmManager
     /** Finish a txRun (after commit): resets per-transaction state. */
     void finish(CoreId core);
 
-    /** The core is inside an active transaction attempt. */
-    bool active(CoreId core) const { return txs_[core].active; }
-
     /** The transaction was doomed by a remote abort; must unwind. */
     bool doomed(CoreId core) const { return txs_[core].doomed; }
     AbortCause doomCause(CoreId core) const { return txs_[core].doomCause; }
@@ -84,8 +81,6 @@ class HtmManager
     /** Labeled ops demoted to plain ops for this (re-)execution. */
     bool demoted(CoreId core) const { return txs_[core].demoteLabeled; }
     void setDemoted(CoreId core) { txs_[core].demoteLabeled = true; }
-
-    uint32_t attempts(CoreId core) const { return txs_[core].attempts; }
 
     WriteBuffer &writeBuffer(CoreId core) { return txs_[core].wb; }
 

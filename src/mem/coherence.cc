@@ -374,14 +374,8 @@ MemorySystem::markSpec(const Access &req, Addr line, PrivLine *e1)
     // cell: neither joined the write set, so lazyArbitrate's
     // "commutative users don't conflict" rule never aborted the stale
     // reader (caught by the GridClaim fuzz wall).
-    const bool labeled = (req.op == MemOp::LabeledLoad ||
-                          req.op == MemOp::LabeledStore ||
-                          req.op == MemOp::Gather) &&
-                         e1->state == PrivState::U;
-    const bool is_load = !req.lazyWrite &&
-                         (req.op == MemOp::Load ||
-                          req.op == MemOp::LabeledLoad ||
-                          req.op == MemOp::Gather);
+    const bool labeled = isLabeled(req.op) && e1->state == PrivState::U;
+    const bool is_load = !req.lazyWrite && !isStore(req.op);
     if (is_load)
         e1->specRead = true;
     else
@@ -561,6 +555,22 @@ MemorySystem::uEvict(CoreId core, Addr line, Cycle &lat)
 }
 
 void
+MemorySystem::reserveWay(CoreId core, Addr line, bool l2, Cycle &lat)
+{
+    CacheArray<PrivLine> &arr = l2 ? cores_[core]->l2 : cores_[core]->l1;
+    while (arr.countInSet(line, isULine) >= arr.ways() - 1) {
+        const PrivLine *v = arr.findLruWhere(line, isULine);
+        assert(v);
+        PrivLine victim = *v;
+        arr.erase(victim.line);
+        if (l2)
+            onEvictL2(core, victim, lat);
+        else
+            onEvictL1(core, victim);
+    }
+}
+
+void
 MemorySystem::setPriv(CoreId core, Addr line, PrivState state, Label label,
                       bool dirty, bool handler, Cycle &lat)
 {
@@ -572,30 +582,14 @@ MemorySystem::setPriv(CoreId core, Addr line, PrivState state, Label label,
         return !(handler && v.state == PrivState::U);
     };
 
-    // Reserved-way rule (Sec. III-B4): keep at least one non-U way per
-    // set so reduction-handler fills never displace reducible data. A U
-    // fill that would break the invariant first evicts the LRU U line.
-    const auto reserve = [&](CacheArray<PrivLine> &arr, bool is_l2) {
-        if (!filling_u)
-            return;
-        while (arr.countInSet(line, isULine) >= arr.ways() - 1) {
-            PrivLine *v = arr.findLruWhere(line, isULine);
-            assert(v);
-            PrivLine copy = *v;
-            arr.erase(copy.line);
-            if (is_l2)
-                onEvictL2(core, copy, lat);
-            else
-                onEvictL1(core, copy);
-        }
-    };
-
-    // L2 first (inclusive parent), then L1.
+    // L2 first (inclusive parent), then L1. A U fill first makes room
+    // under the reserved-way rule (Sec. III-B4).
     bool evicted2 = false;
     PrivLine victim2;
     PrivLine *e2 = pc.l2.lookup(line);
     if (!e2) {
-        reserve(pc.l2, true);
+        if (filling_u)
+            reserveWay(core, line, true, lat);
         auto r = pc.l2.insert(line, may_evict);
         e2 = r.entry;
         evicted2 = r.evicted;
@@ -606,7 +600,7 @@ MemorySystem::setPriv(CoreId core, Addr line, PrivState state, Label label,
         // path could fill every way of the set with U lines and a
         // later handler fill would find no eligible victim (caught by
         // the invariant checker's reserved-way sweep under fuzz).
-        reserve(pc.l2, true);
+        reserveWay(core, line, true, lat);
         e2 = pc.l2.lookup(line);
     }
     e2->state = state;
@@ -618,13 +612,14 @@ MemorySystem::setPriv(CoreId core, Addr line, PrivState state, Label label,
     PrivLine victim1;
     PrivLine *e1 = pc.l1.lookup(line);
     if (!e1) {
-        reserve(pc.l1, false);
+        if (filling_u)
+            reserveWay(core, line, false, lat);
         auto r = pc.l1.insert(line, may_evict);
         e1 = r.entry;
         evicted1 = r.evicted;
         victim1 = r.victim;
     } else if (filling_u && e1->state != PrivState::U) {
-        reserve(pc.l1, false); // same reserved-way rule as the L2
+        reserveWay(core, line, false, lat); // same rule as the L2
         e1 = pc.l1.lookup(line);
     }
     e1->state = state;
@@ -647,27 +642,14 @@ MemorySystem::reserveWayForU(CoreId core, Addr line, Cycle &lat)
     // exclusive owner in GETU Case 5) bypasses setPriv's fill path,
     // but counts against the reserved way all the same: without this
     // the set could end up all-U and a later reduction-handler fill
-    // would find no eligible victim.
-    PerCore &pc = *cores_[core];
-    const auto reserve = [&](CacheArray<PrivLine> &arr, bool is_l2) {
-        const PrivLine *cur = arr.lookup(line);
-        if (!cur || cur->state == PrivState::U)
-            return; // no conversion at this level, or already U
-        while (arr.countInSet(line, isULine) >= arr.ways() - 1) {
-            PrivLine *v = arr.findLruWhere(line, isULine);
-            assert(v);
-            PrivLine copy = *v;
-            arr.erase(copy.line);
-            if (is_l2)
-                onEvictL2(core, copy, lat);
-            else
-                onEvictL1(core, copy);
-        }
-    };
-    // L2 first: back-invalidation of an evicted L2 U line frees its
-    // L1 way too.
-    reserve(pc.l2, true);
-    reserve(pc.l1, false);
+    // would find no eligible victim. L2 first: back-invalidation of
+    // an evicted L2 U line frees its L1 way too.
+    const PrivLine *e2 = findL2(core, line);
+    if (e2 && e2->state != PrivState::U)
+        reserveWay(core, line, true, lat);
+    const PrivLine *e1 = findL1(core, line);
+    if (e1 && e1->state != PrivState::U)
+        reserveWay(core, line, false, lat);
 }
 
 // ---------------------------------------------------------------------
@@ -768,7 +750,36 @@ MemorySystem::getL3(const Access &req, Addr line, Cycle &lat)
 // Directory-side request handling
 // ---------------------------------------------------------------------
 
-MemorySystem::DirFollowUp
+bool
+MemorySystem::invalidateSharers(const Access &req, L3Line *e,
+                                InvalKind kind, AccessResult &res)
+{
+    const Addr line = e->line;
+    const CoreId c = req.core;
+    bool nacked = false;
+    Cycle max_leg = 0;
+    // Stack snapshot: battle() may mutate the sharer set, and a heap
+    // vector per invalidation shows up in host time.
+    SharerList sharers;
+    e->sharers.forEach([&](CoreId s) {
+        if (s != c)
+            sharers.push(s);
+    });
+    for (const CoreId s : sharers) {
+        if (!battle(req, s, line, kind, res)) {
+            nacked = true;
+            continue;
+        }
+        dropPriv(s, line);
+        e->sharers.clear(s);
+        stats_.invalidations++;
+        max_leg = std::max(max_leg, noc_.coreToCore(s, c));
+    }
+    res.latency += max_leg;
+    return !nacked;
+}
+
+void
 MemorySystem::handleGETS(const Access &req, L3Line *e, AccessResult &res)
 {
     const Addr line = e->line;
@@ -791,7 +802,7 @@ MemorySystem::handleGETS(const Access &req, L3Line *e, AccessResult &res)
         const CoreId owner = e->sharers.first();
         assert(owner != c && "exclusive holder would have hit locally");
         if (!battle(req, owner, line, InvalKind::ForRead, res))
-            return {};
+            return;
         // Downgrade the owner to S; it forwards the data.
         if (PrivLine *oe1 = findL1(owner, line)) {
             if (oe1->dirty)
@@ -815,12 +826,12 @@ MemorySystem::handleGETS(const Access &req, L3Line *e, AccessResult &res)
       }
       case DirState::U:
         assert(!req.handler && "handlers must not touch U lines");
-        return {true, true, kNoLabel};
+        reduceLine(req, e, res, true, kNoLabel);
+        break;
     }
-    return {};
 }
 
-MemorySystem::DirFollowUp
+void
 MemorySystem::handleGETX(const Access &req, L3Line *e, AccessResult &res)
 {
     const Addr line = e->line;
@@ -833,41 +844,20 @@ MemorySystem::handleGETX(const Access &req, L3Line *e, AccessResult &res)
         setPriv(c, line, PrivState::M, kNoLabel, true, req.handler,
                 res.latency);
         break;
-      case DirState::S: {
-        bool nacked = false;
-        Cycle max_leg = 0;
-        // Stack snapshot: battle() may mutate the sharer set, and a
-        // heap vector per invalidation shows up in host time.
-        SharerList sharers;
-        e->sharers.forEach([&](CoreId s) {
-            if (s != c)
-                sharers.push(s);
-        });
-        for (const CoreId s : sharers) {
-            if (!battle(req, s, line, InvalKind::ForWrite, res)) {
-                nacked = true;
-                continue;
-            }
-            dropPriv(s, line);
-            e->sharers.clear(s);
-            stats_.invalidations++;
-            max_leg = std::max(max_leg, noc_.coreToCore(s, c));
-        }
-        res.latency += max_leg;
-        if (nacked)
-            return {};
+      case DirState::S:
+        if (!invalidateSharers(req, e, InvalKind::ForWrite, res))
+            return;
         e->dir = DirState::M;
         e->sharers.resetAll();
         e->sharers.set(c);
         setPriv(c, line, PrivState::M, kNoLabel, true, req.handler,
                 res.latency);
         break;
-      }
       case DirState::M: {
         const CoreId owner = e->sharers.first();
         assert(owner != c && "exclusive holder would have hit locally");
         if (!battle(req, owner, line, InvalKind::ForWrite, res))
-            return {};
+            return;
         const PrivLine *oe2 = findL2(owner, line);
         if (oe2 && oe2->dirty)
             stats_.writebacks++;
@@ -882,12 +872,12 @@ MemorySystem::handleGETX(const Access &req, L3Line *e, AccessResult &res)
       }
       case DirState::U:
         assert(!req.handler && "handlers must not touch U lines");
-        return {true, true, kNoLabel};
+        reduceLine(req, e, res, true, kNoLabel);
+        break;
     }
-    return {};
 }
 
-MemorySystem::DirFollowUp
+void
 MemorySystem::handleGETU(const Access &req, L3Line *e, AccessResult &res)
 {
     const Addr line = e->line;
@@ -906,28 +896,10 @@ MemorySystem::handleGETU(const Access &req, L3Line *e, AccessResult &res)
         e->sharers.set(c);
         setPriv(c, line, PrivState::U, l, false, false, res.latency);
         break;
-      case DirState::S: {
+      case DirState::S:
         // Case 2: invalidate read-only sharers, then serve the data.
-        bool nacked = false;
-        Cycle max_leg = 0;
-        SharerList sharers;
-        e->sharers.forEach([&](CoreId s) {
-            if (s != c)
-                sharers.push(s);
-        });
-        for (const CoreId s : sharers) {
-            if (!battle(req, s, line, InvalKind::ForLabeled, res)) {
-                nacked = true;
-                continue;
-            }
-            dropPriv(s, line);
-            e->sharers.clear(s);
-            stats_.invalidations++;
-            max_leg = std::max(max_leg, noc_.coreToCore(s, c));
-        }
-        res.latency += max_leg;
-        if (nacked)
-            return {};
+        if (!invalidateSharers(req, e, InvalKind::ForLabeled, res))
+            return;
         pc.uCopies[line] = memory_.readLine(line);
         e->dir = DirState::U;
         e->label = l;
@@ -935,14 +907,13 @@ MemorySystem::handleGETU(const Access &req, L3Line *e, AccessResult &res)
         e->sharers.set(c);
         setPriv(c, line, PrivState::U, l, false, false, res.latency);
         break;
-      }
       case DirState::M: {
         // Case 5: downgrade the exclusive owner to U; it retains the
         // data, the requester initializes to the identity (Fig. 4b).
         const CoreId owner = e->sharers.first();
         assert(owner != c && "exclusive holder would have hit locally");
         if (!battle(req, owner, line, InvalKind::ForLabeled, res))
-            return {};
+            return;
         // The in-place M->U downgrade below counts against the
         // owner's reserved way like any U fill. The eviction may run
         // a reduction handler that recurses into access() and
@@ -981,11 +952,10 @@ MemorySystem::handleGETU(const Access &req, L3Line *e, AccessResult &res)
             setPriv(c, line, PrivState::U, l, false, false, res.latency);
         } else {
             // Case 3: different label; reduce, then re-enter U relabeled.
-            return {true, false, l};
+            reduceLine(req, e, res, false, l);
         }
         break;
     }
-    return {};
 }
 
 void
@@ -1091,9 +1061,8 @@ MemorySystem::runGather(const Access &req, L3Line *e, AccessResult &res)
 {
     const Addr line = e->line;
     const CoreId c = req.core;
-    // The requester holds the line in U by now: access()'s drain loop
-    // re-acquires it with an AcquireU step (the GETU flow, plus any
-    // reduction it defers) before this body runs (Sec. IV).
+    // The requester holds the line in U by now: access() re-acquires
+    // it with the GETU flow before this body runs (Sec. IV).
     assert(e->dir == DirState::U && e->sharers.test(c));
     const LabelInfo &li = labels_.get(req.label);
     assert(li.split && "gather on a label without a splitter");
@@ -1169,15 +1138,15 @@ MemorySystem::access(const Access &req)
     const Addr line = lineAddr(req.addr);
     assert(lineOffset(req.addr) + req.size <= kLineSize &&
            "accesses must not straddle cache lines");
-    assert(!(req.handler &&
-             (req.op != MemOp::Load && req.op != MemOp::Store)));
+    assert(!(req.handler && isLabeled(req.op)));
 
     // Reduction/split handlers re-enter access() for their own reads
-    // and writes. Handlers cannot touch U lines (asserted below) nor
-    // evict them (reserved-way rule + the getL3 handler predicate), so
-    // a handler access never runs another handler: this re-entry is
-    // the memory system's only remaining recursion, bounded at depth
-    // one regardless of gather fanout or sharer count.
+    // and writes. Handlers cannot touch U lines (asserted in the
+    // directory handlers) nor evict them (reserved-way rule + the
+    // getL3 handler predicate), so a handler access never runs another
+    // handler: this re-entry is the memory system's only recursion,
+    // bounded at depth one regardless of gather fanout or sharer
+    // count.
     struct HandlerDepthGuard {
         uint32_t &depth;
         const bool active;
@@ -1202,7 +1171,7 @@ MemorySystem::access(const Access &req)
     if (PrivLine *e1 = pc.l1.lookup(line)) {
         if (satisfiesLocally(*e1, req.op, req.label)) {
             pc.l1.touch(e1);
-            if (req.op == MemOp::Store || req.op == MemOp::LabeledStore) {
+            if (isStore(req.op)) {
                 if (e1->state == PrivState::E)
                     e1->state = PrivState::M;
                 if (e1->state == PrivState::M)
@@ -1228,14 +1197,10 @@ MemorySystem::access(const Access &req)
             pc.l2.touch(e2);
             stats_.l2Hits++;
             PrivState state = e2->state;
-            if (req.op == MemOp::Store || req.op == MemOp::LabeledStore) {
-                if (state == PrivState::E)
-                    state = PrivState::M;
-            }
+            if (isStore(req.op) && state == PrivState::E)
+                state = PrivState::M;
             const bool dirty =
-                e2->dirty || ((req.op == MemOp::Store ||
-                               req.op == MemOp::LabeledStore) &&
-                              state == PrivState::M);
+                e2->dirty || (isStore(req.op) && state == PrivState::M);
             setPriv(req.core, line, state, e2->label, dirty, req.handler,
                     res.latency);
             if (req.isTx && !req.handler)
@@ -1249,102 +1214,52 @@ MemorySystem::access(const Access &req)
     const uint32_t bank = cfg_.lineBank(line);
     res.latency +=
         2 * noc_.coreToBank(req.core, bank) + cfg_.l3BankLatency;
-    GetType get_type = GetType::GETS;
-    switch (req.op) {
-      case MemOp::Load:
-        get_type = GetType::GETS;
-        break;
-      case MemOp::Store:
-        get_type = GetType::GETX;
-        break;
-      case MemOp::LabeledLoad:
-      case MemOp::LabeledStore:
-      case MemOp::Gather:
-        get_type = GetType::GETU;
-        break;
-    }
+    const GetType get_type = isLabeled(req.op) ? GetType::GETU
+                             : isStore(req.op) ? GetType::GETX
+                                               : GetType::GETS;
     stats_.l3Gets[size_t(get_type)]++;
 
     L3Line *e = getL3(req, line, res.latency);
-
-    // Directory steps drain from an explicit LIFO work stack instead
-    // of nesting calls: a gather used to stack handleGather ->
-    // handleGETU -> reduceLine frames (each with its own SharerList
-    // snapshot) before the reduction handlers re-entered access().
-    // Popping LIFO preserves the nested flow's exact execution order
-    // (pop == return-to-caller), so counters are bit-identical; the
-    // steps just run at this frame's depth. The only recursion left is
-    // the bounded handler -> access() re-entry (handlerDepth_ above).
-    enum class Step : uint8_t { Dispatch, AcquireU, GatherBody, Reduce };
-    struct Work {
-        Step step;
-        bool toM;
-        Label newLabel;
-    };
-    Work stack[3];
-    uint32_t depth = 0;
-    stack[depth++] = {Step::Dispatch, false, kNoLabel};
-    const auto push_follow_up = [&](const DirFollowUp &f) {
-        if (f.reduce)
-            stack[depth++] = {Step::Reduce, f.toM, f.newLabel};
-    };
-    while (depth > 0 && !res.mustAbort()) {
-        const Work w = stack[--depth];
-        // Earlier steps (reductions, evictions) may have reshuffled
-        // the L3 set; re-find our entry.
-        e = l3_.lookup(line);
-        COMMTM_CHECK(e, "line 0x%llx lost its L3 entry mid-drain",
-                     (unsigned long long)line);
-        switch (w.step) {
-          case Step::Dispatch:
-            switch (req.op) {
-              case MemOp::Load:
-                push_follow_up(handleGETS(req, e, res));
+    switch (req.op) {
+      case MemOp::Load:
+        handleGETS(req, e, res);
+        break;
+      case MemOp::Store:
+        handleGETX(req, e, res);
+        break;
+      case MemOp::LabeledLoad:
+      case MemOp::LabeledStore:
+        handleGETU(req, e, res);
+        break;
+      case MemOp::Gather:
+        if (e->dir != DirState::U || e->label != req.label ||
+            !e->sharers.test(req.core)) {
+            // The requester lost U between its labeled access and the
+            // gather: re-acquire it with the GETU flow first.
+            handleGETU(req, e, res);
+            if (res.mustAbort())
                 break;
-              case MemOp::Store:
-                push_follow_up(handleGETX(req, e, res));
-                break;
-              case MemOp::LabeledLoad:
-              case MemOp::LabeledStore:
-                assert(!req.handler);
-                push_follow_up(handleGETU(req, e, res));
-                break;
-              case MemOp::Gather:
-                assert(!req.handler);
-                stack[depth++] = {Step::GatherBody, false, kNoLabel};
-                if (e->dir != DirState::U || e->label != req.label ||
-                    !e->sharers.test(req.core)) {
-                    // The requester lost U between its labeled access
-                    // and the gather; re-acquire with the GETU flow
-                    // (LIFO: the acquire and any reduction it defers
-                    // run before the gather body).
-                    stack[depth++] = {Step::AcquireU, false, kNoLabel};
-                }
-                break;
-            }
-            break;
-          case Step::AcquireU:
-            push_follow_up(handleGETU(req, e, res));
-            break;
-          case Step::GatherBody:
-            runGather(req, e, res);
-            break;
-          case Step::Reduce:
-            reduceLine(req, e, res, w.toM, w.newLabel);
-            break;
+            // The GETU's fills and reductions may have run handlers
+            // that reshuffled the L3 set; re-find our entry.
+            e = l3_.lookup(line);
+            COMMTM_CHECK(e, "line 0x%llx lost its L3 entry while "
+                            "re-acquiring U for a gather",
+                         (unsigned long long)line);
         }
+        runGather(req, e, res);
+        break;
     }
 
     if (req.isTx && !req.handler && !res.mustAbort())
         markSpec(req, line);
 
-    // End-of-drain sweep (MachineConfig::denseInvariants). Handler
+    // End-of-access sweep (MachineConfig::denseInvariants). Handler
     // re-entries are skipped: mid-reduction the machine is legitimately
     // transient (e.g. onEvictL3 reuses the L3 slot while the remaining
-    // sharers still hold their copies), and only the top-level drain
-    // loop's end is a consistent sync point.
+    // sharers still hold their copies), and only the end of a
+    // top-level access is a consistent sync point.
     if (invariants_ && !req.handler)
-        invariants_->check(InvariantChecker::SyncPoint::DrainEnd);
+        invariants_->check(InvariantChecker::SyncPoint::AccessEnd);
     return res;
 }
 

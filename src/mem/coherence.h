@@ -35,15 +35,6 @@
 
 namespace commtm {
 
-/** Memory operation kinds the cores can issue. */
-enum class MemOp : uint8_t {
-    Load,         //!< conventional load
-    Store,        //!< conventional store
-    LabeledLoad,  //!< load[label] (Sec. III-A)
-    LabeledStore, //!< store[label]
-    Gather,       //!< load_gather[label] (Sec. IV)
-};
-
 /** One memory request from a core (or its shadow thread). */
 struct Access {
     CoreId core = 0;
@@ -140,7 +131,7 @@ class MemorySystem
      *  reductions write memory (lists, top-K sets). */
     std::vector<LineData> debugUCopies(Addr line) const;
 
-    /** Install the invariant checker for end-of-drain-loop sweeps
+    /** Install the invariant checker for end-of-access sweeps
      *  (MachineConfig::denseInvariants); nullptr disables them. */
     void setInvariantChecker(InvariantChecker *checker)
     {
@@ -203,28 +194,22 @@ class MemorySystem
         ForSplit,     //!< gather-triggered split at a U sharer
     };
 
-    /**
-     * Follow-on directory work a request handler defers to access()'s
-     * drain loop instead of executing nested: when a GETS/GETX/GETU
-     * finds the line in dir-U, the required reduction runs as the next
-     * popped work item at access()'s own frame depth, not as a callee
-     * of the handler (see the drain loop in access()).
-     */
-    struct DirFollowUp {
-        bool reduce = false;
-        bool toM = false;        //!< reduceLine's to_m argument
-        Label newLabel = kNoLabel;
-    };
-
-    // Directory-side request handlers. They perform the non-reducing
-    // protocol actions inline and defer reductions via DirFollowUp.
-    DirFollowUp handleGETS(const Access &req, L3Line *e, AccessResult &res);
-    DirFollowUp handleGETX(const Access &req, L3Line *e, AccessResult &res);
-    DirFollowUp handleGETU(const Access &req, L3Line *e, AccessResult &res);
+    // Directory-side request handlers. A GETS/GETX that finds the
+    // line in dir-U, and a GETU with a different label (Case 3), call
+    // reduceLine directly.
+    void handleGETS(const Access &req, L3Line *e, AccessResult &res);
+    void handleGETX(const Access &req, L3Line *e, AccessResult &res);
+    void handleGETU(const Access &req, L3Line *e, AccessResult &res);
     /** Gather body proper (split/merge over the sharers); runs only
-     *  once the requester holds the line in U (re-acquisition is a
-     *  separate drain-loop step). */
+     *  once the requester holds the line in U (access() re-acquires
+     *  it with handleGETU first if needed). */
     void runGather(const Access &req, L3Line *e, AccessResult &res);
+
+    /** Invalidate every dir-S sharer of @p e except the requester
+     *  (GETX, and GETU Case 2), charging the slowest leg. Returns
+     *  false if any sharer NACKed (res.nackAbort is then set). */
+    bool invalidateSharers(const Access &req, L3Line *e, InvalKind kind,
+                           AccessResult &res);
 
     /**
      * Reduce a dir-U line into @p req.core (Sec. III-B4, Fig. 7).
@@ -256,6 +241,10 @@ class MemorySystem
     /** Install/refresh (core, line) in both L1 and L2 with @p state. */
     void setPriv(CoreId core, Addr line, PrivState state, Label label,
                  bool dirty, bool handler, Cycle &lat);
+    /** Reserved-way rule (Sec. III-B4): evict LRU U lines from
+     *  @p line's set in @p core's L2 (@p l2) or L1 until the set keeps
+     *  a non-U way after @p line becomes U. */
+    void reserveWay(CoreId core, Addr line, bool l2, Cycle &lat);
     /** Before converting @p line to U in place in @p core's caches,
         evict LRU U lines until each set keeps a non-U way
         (reserved-way rule, Sec. III-B4). */
@@ -295,15 +284,15 @@ class MemorySystem
 
     std::vector<std::unique_ptr<PerCore>> cores_;
     CacheArray<L3Line> l3_;
-    /** End-of-drain-loop sweep hook; installed only when
+    /** End-of-access sweep hook; installed only when
      *  MachineConfig::denseInvariants is set. */
     InvariantChecker *invariants_ = nullptr;
 
     /** Live handler-issued access() frames. Handlers cannot touch U
      *  lines nor evict them, so a handler access never runs another
-     *  handler: the only recursion left in the memory system is the
-     *  handler -> access() re-entry, bounded at depth one (asserted
-     *  in access()). */
+     *  handler: the only recursion in the memory system is the
+     *  handler -> access() re-entry, bounded at depth one (checked in
+     *  access()). */
     uint32_t handlerDepth_ = 0;
 };
 

@@ -1,19 +1,22 @@
 /**
  * @file
- * The workload frontend interface (docs/ARCHITECTURE.md Sec. 11):
- * what produces the per-thread operation streams a Machine simulates.
- * Two implementations exist — ClosedLoopFrontend runs compiled-in
- * workload bodies (the classic mode, used by src/apps/ and the figure
- * benches), and ReplayFrontend (src/trace/replay.h) re-executes a
- * captured trace. Decoupling the two means "a workload" is data: the
- * same capture sweeps detection modes, thread-count geometries, and
- * cache sizes without recompiling.
+ * Workload frontends (docs/ARCHITECTURE.md Sec. 11): what produces
+ * the per-thread operation streams a Machine simulates. Three exist:
+ * ClosedLoopFrontend (here) runs compiled-in workload bodies (the
+ * classic mode, used by src/apps/ and the figure benches),
+ * ReplayFrontend (src/trace/replay.h) re-executes a captured trace,
+ * and OpenLoopFrontend (src/rt/open_loop.h) serves arrival schedules.
+ * Each has an attach(Machine&) that registers one simulated thread
+ * per workload thread before Machine::run(), in a deterministic order
+ * (thread i lands on core threadCore(i), exactly like direct
+ * Machine::addThread calls). Decoupling the two means "a workload" is
+ * data: the same capture sweeps detection modes, thread-count
+ * geometries, and cache sizes without recompiling.
  */
 
 #ifndef COMMTM_RT_FRONTEND_H
 #define COMMTM_RT_FRONTEND_H
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -23,44 +26,20 @@ class Machine;
 class ThreadContext;
 
 /**
- * A source of simulated-thread work. Frontends are attached to a
- * Machine before run(): attach() registers one simulated thread per
- * workload thread, in a deterministic order (thread i lands on core
- * threadCore(i), exactly like direct Machine::addThread calls).
- */
-class Frontend
-{
-  public:
-    virtual ~Frontend() = default;
-
-    /** Number of simulated threads this frontend drives. */
-    virtual uint32_t threads() const = 0;
-
-    /** Register this frontend's threads with @p machine. Call before
-     *  Machine::run(); a frontend attaches to one machine at a time. */
-    virtual void attach(Machine &machine) = 0;
-};
-
-/**
  * The compiled-in closed-loop frontend: workload bodies (C++ callables
  * programming against ThreadContext) added in thread order. Behavior
- * is identical to calling Machine::addThread directly — this is the
- * historical path, refactored behind the Frontend interface.
+ * is identical to calling Machine::addThread directly.
  */
-class ClosedLoopFrontend final : public Frontend
+class ClosedLoopFrontend
 {
   public:
     using Body = std::function<void(ThreadContext &)>;
 
-    /** Append one workload thread body (runs on core threads()). */
+    /** Append one workload thread body (runs on the next core). */
     void add(Body body) { bodies_.push_back(std::move(body)); }
 
-    uint32_t threads() const override
-    {
-        return uint32_t(bodies_.size());
-    }
-
-    void attach(Machine &machine) override;
+    /** Register the bodies with @p machine, in order. */
+    void attach(Machine &machine);
 
   private:
     std::vector<Body> bodies_;

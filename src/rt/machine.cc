@@ -66,10 +66,10 @@ Machine::Machine(MachineConfig cfg)
     }
     // COMMTM_CHECK_INVARIANTS forces observation-only invariant sweeps
     // on for any run: any value enables the periodic sweeps, and
-    // "drain" adds the dense ones at every commit, abort and drain-loop
-    // end (fuzz-scale machines only; see MachineConfig). mem_/htm_
-    // hold references to this cfg_, so the upgraded knobs are visible
-    // to them.
+    // "drain" adds the dense ones at every commit, abort and top-level
+    // access end (fuzz-scale machines only; see MachineConfig).
+    // mem_/htm_ hold references to this cfg_, so the upgraded knobs are
+    // visible to them.
     if (const char *env = std::getenv("COMMTM_CHECK_INVARIANTS")) {
         cfg_.checkInvariants = true;
         if (std::strcmp(env, "drain") == 0)

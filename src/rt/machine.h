@@ -66,20 +66,19 @@ class ThreadContext
     template <typename T> void write(Addr addr, const T &value);
 
     /**
-     * Untyped single-issue access paths: the typed templates (and the
-     * per-line chunks of readBytes/writeBytes) reduce to these, and
-     * the trace ReplayFrontend re-issues captured records through
-     * them. An access must not straddle a cache line (the templates
-     * guarantee this for scalars; readBytes chunks at line bounds).
+     * Issue one memory op and apply it functionally: the single path
+     * every access takes. The typed templates and the per-line chunks
+     * of readBytes/writeBytes reduce to it, and the trace
+     * ReplayFrontend re-issues captured records through it. A load
+     * reads @p size bytes into @p data; a store only reads its operand
+     * from @p data. @p label is ignored by conventional ops. An access
+     * must not straddle a cache line (the templates guarantee this for
+     * scalars; readBytes chunks at line bounds). Always inlined: every
+     * typed call site passes a constant @p op, and the branches on it
+     * must fold away there.
      */
-    void readUntyped(Addr addr, void *out, size_t size);
-    void writeUntyped(Addr addr, const void *src, size_t size);
-    void readLabeledUntyped(Addr addr, Label label, void *out,
-                            size_t size);
-    void writeLabeledUntyped(Addr addr, Label label, const void *src,
-                             size_t size);
-    void readGatherUntyped(Addr addr, Label label, void *out,
-                           size_t size);
+    [[gnu::always_inline]] void access(MemOp op, Addr addr, Label label,
+                                       void *data, size_t size);
 
     /** Block (vector-style) access: one memory operation per line
      *  touched. For bulk reads/writes of arrays (e.g., feature
@@ -174,7 +173,7 @@ class ThreadContext
     /** Observation-only: fold a labeled op that stayed labeled into
      *  the commit log's pending digests (no-op when recording is off
      *  or outside a transaction). */
-    void noteLabeledOp(CommitOpKind kind, Addr addr, Label label,
+    void noteLabeledOp(MemOp op, Addr addr, Label label,
                        const void *operand, uint32_t size);
     /** Observation-only: fold the attempt's conventional write-buffer
      *  lines into @p log and seal its record. txRun calls it right
@@ -445,7 +444,7 @@ ThreadContext::compute(uint64_t instrs)
 inline MemOp
 ThreadContext::effectiveOp(MemOp op, Label &label) const
 {
-    if (op == MemOp::Load || op == MemOp::Store)
+    if (!isLabeled(op))
         return op;
     const MachineConfig &cfg = machine_.config();
     const bool demote =
@@ -476,10 +475,8 @@ ThreadContext::issue(Addr addr, uint32_t size, MemOp op, Label label)
     if (txAbortPending_)
         return AccessResult{};
     stats.instrs++;
-    if (op == MemOp::LabeledLoad || op == MemOp::LabeledStore ||
-        op == MemOp::Gather) {
+    if (isLabeled(op))
         stats.labeledInstrs++;
-    }
     Access a;
     a.core = core_;
     a.addr = addr;
@@ -543,11 +540,11 @@ ThreadContext::functionalWrite(Addr addr, const void *src, size_t size,
 }
 
 inline void
-ThreadContext::noteLabeledOp(CommitOpKind kind, Addr addr, Label label,
+ThreadContext::noteLabeledOp(MemOp op, Addr addr, Label label,
                              const void *operand, uint32_t size)
 {
     if (inTx_ && machine_.commitLog_) {
-        machine_.commitLog_->noteLabeledOp(core_, kind, addr, label,
+        machine_.commitLog_->noteLabeledOp(core_, op, addr, label,
                                            operand, size);
     }
 }
@@ -559,7 +556,7 @@ ThreadContext::readBytes(Addr addr, void *out, size_t size)
     while (size > 0) {
         const size_t chunk =
             std::min(size, size_t(kLineSize - lineOffset(addr)));
-        readUntyped(addr, dst, chunk);
+        access(MemOp::Load, addr, kNoLabel, dst, chunk);
         if (txAbortPending_)
             return; // buffer contents are garbage; caller must retry
         dst += chunk;
@@ -571,11 +568,12 @@ ThreadContext::readBytes(Addr addr, void *out, size_t size)
 inline void
 ThreadContext::writeBytes(Addr addr, const void *src, size_t size)
 {
-    const auto *from = static_cast<const uint8_t *>(src);
+    // Stores only read their operand (see access()).
+    auto *from = static_cast<uint8_t *>(const_cast<void *>(src));
     while (size > 0) {
         const size_t chunk =
             std::min(size, size_t(kLineSize - lineOffset(addr)));
-        writeUntyped(addr, from, chunk);
+        access(MemOp::Store, addr, kNoLabel, from, chunk);
         if (txAbortPending_)
             return;
         from += chunk;
@@ -589,136 +587,80 @@ ThreadContext::writeBytes(Addr addr, const void *src, size_t size)
 // zero sentinel keeps pointer-chasing loops in non-yet-checked body
 // code terminating harmlessly until the body observes txAborted().
 //
-// Capture hooks record each op at the API level, before the issue
+// The capture hook records each op at the API level, before the issue
 // path resolves label demotion, gather fallback, or the lazy-mode
 // store conversion: a replay re-resolves those through the machine it
 // runs on. Ops issued while an abort is already pending are true
 // no-ops and are not recorded; ops of an attempt that later aborts
-// are buffered and discarded by the writer (trace/trace_writer.h), so
-// the captured stream holds exactly the committed attempts.
+// are truncated away by the writer (trace/trace_writer.h), so the
+// captured stream holds exactly the committed attempts.
 
 inline void
-ThreadContext::readUntyped(Addr addr, void *out, size_t size)
+ThreadContext::access(MemOp op, Addr addr, Label label, void *data,
+                      size_t size)
 {
     assert(lineOffset(addr) + size <= kLineSize);
     if (trace_ && !txAbortPending_)
-        trace_->noteLoad(core_, addr, uint32_t(size));
-    issue(addr, uint32_t(size), MemOp::Load, kNoLabel);
-    if (txAbortPending_)
-        return;
-    functionalRead(addr, out, size, false);
-}
-
-inline void
-ThreadContext::writeUntyped(Addr addr, const void *src, size_t size)
-{
-    assert(lineOffset(addr) + size <= kLineSize);
-    if (trace_ && !txAbortPending_)
-        trace_->noteStore(core_, addr, uint32_t(size), src);
-    issue(addr, uint32_t(size), MemOp::Store, kNoLabel);
-    if (txAbortPending_)
-        return;
-    functionalWrite(addr, src, size, false);
-}
-
-inline void
-ThreadContext::readLabeledUntyped(Addr addr, Label label, void *out,
-                                  size_t size)
-{
-    assert(lineOffset(addr) + size <= kLineSize);
-    if (trace_ && !txAbortPending_)
-        trace_->noteLabeledLoad(core_, addr, uint32_t(size), label);
-    const MemOp op = effectiveOp(MemOp::LabeledLoad, label);
+        trace_->noteAccess(core_, op, addr, uint32_t(size), label, data);
+    op = effectiveOp(op, label);
     issue(addr, uint32_t(size), op, label);
     if (txAbortPending_)
         return;
-    functionalRead(addr, out, size, op == MemOp::LabeledLoad);
-    if (op == MemOp::LabeledLoad) {
-        noteLabeledOp(CommitOpKind::LabeledLoad, addr, label, nullptr,
-                      uint32_t(size));
-    }
-}
-
-inline void
-ThreadContext::writeLabeledUntyped(Addr addr, Label label,
-                                   const void *src, size_t size)
-{
-    assert(lineOffset(addr) + size <= kLineSize);
-    if (trace_ && !txAbortPending_)
-        trace_->noteLabeledStore(core_, addr, uint32_t(size), label,
-                                 src);
-    const MemOp op = effectiveOp(MemOp::LabeledStore, label);
-    issue(addr, uint32_t(size), op, label);
-    if (txAbortPending_)
-        return;
-    functionalWrite(addr, src, size, op == MemOp::LabeledStore);
-    if (op == MemOp::LabeledStore) {
-        noteLabeledOp(CommitOpKind::LabeledStore, addr, label, src,
-                      uint32_t(size));
-    }
-}
-
-inline void
-ThreadContext::readGatherUntyped(Addr addr, Label label, void *out,
-                                 size_t size)
-{
-    assert(lineOffset(addr) + size <= kLineSize);
-    if (trace_ && !txAbortPending_)
-        trace_->noteGather(core_, addr, uint32_t(size), label);
-    const MemOp op = effectiveOp(MemOp::Gather, label);
-    issue(addr, uint32_t(size), op, label);
-    if (txAbortPending_)
-        return;
-    functionalRead(addr, out, size, op == MemOp::Gather);
-    if (op == MemOp::Gather) {
-        noteLabeledOp(CommitOpKind::Gather, addr, label, nullptr,
+    if (isStore(op))
+        functionalWrite(addr, data, size, isLabeled(op));
+    else
+        functionalRead(addr, data, size, isLabeled(op));
+    if (isLabeled(op)) {
+        noteLabeledOp(op, addr, label, isStore(op) ? data : nullptr,
                       uint32_t(size));
     }
 }
 
 template <typename T>
-T
+inline T
 ThreadContext::read(Addr addr)
 {
     static_assert(std::is_trivially_copyable_v<T>);
     T value{};
-    readUntyped(addr, &value, sizeof(T));
+    access(MemOp::Load, addr, kNoLabel, &value, sizeof(T));
     return value;
 }
 
 template <typename T>
-void
+inline void
 ThreadContext::write(Addr addr, const T &value)
 {
     static_assert(std::is_trivially_copyable_v<T>);
-    writeUntyped(addr, &value, sizeof(T));
+    access(MemOp::Store, addr, kNoLabel, const_cast<T *>(&value),
+           sizeof(T));
 }
 
 template <typename T>
-T
+inline T
 ThreadContext::readLabeled(Addr addr, Label label)
 {
     static_assert(std::is_trivially_copyable_v<T>);
     T value{};
-    readLabeledUntyped(addr, label, &value, sizeof(T));
+    access(MemOp::LabeledLoad, addr, label, &value, sizeof(T));
     return value;
 }
 
 template <typename T>
-void
+inline void
 ThreadContext::writeLabeled(Addr addr, Label label, const T &value)
 {
     static_assert(std::is_trivially_copyable_v<T>);
-    writeLabeledUntyped(addr, label, &value, sizeof(T));
+    access(MemOp::LabeledStore, addr, label, const_cast<T *>(&value),
+           sizeof(T));
 }
 
 template <typename T>
-T
+inline T
 ThreadContext::readGather(Addr addr, Label label)
 {
     static_assert(std::is_trivially_copyable_v<T>);
     T value{};
-    readGatherUntyped(addr, label, &value, sizeof(T));
+    access(MemOp::Gather, addr, label, &value, sizeof(T));
     return value;
 }
 

@@ -44,12 +44,6 @@ OpenLoopFrontend::OpenLoopFrontend(const OpenLoopConfig &cfg,
     }
 }
 
-uint32_t
-OpenLoopFrontend::threads() const
-{
-    return uint32_t(states_.size());
-}
-
 void
 OpenLoopFrontend::attach(Machine &machine)
 {

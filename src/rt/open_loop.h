@@ -1,15 +1,16 @@
 /**
  * @file
  * The open-loop service frontend (docs/ARCHITECTURE.md Sec. 12): the
- * third Frontend implementation, modeling independent users arriving
- * at a service rather than a fixed op count per thread. Each simulated
- * thread owns a deterministic, pre-generated arrival schedule (Poisson
- * or bursty cycles from rt/arrival.h, keys from the Zipfian sampler)
- * and a bounded FIFO request queue: arrivals that find the queue full
- * are dropped and counted, everything admitted is serviced in arrival
- * order by the caller-supplied transaction body, and each request's
- * enqueue-to-commit latency lands in a per-thread log-spaced histogram
- * (sim/latency_hist.h), split into warmup and measurement windows.
+ * third workload frontend (rt/frontend.h), modeling independent users
+ * arriving at a service rather than a fixed op count per thread. Each
+ * simulated thread owns a deterministic, pre-generated arrival
+ * schedule (Poisson or bursty cycles from rt/arrival.h, keys from the
+ * Zipfian sampler) and a bounded FIFO request queue: arrivals that
+ * find the queue full are dropped and counted, everything admitted is
+ * serviced in arrival order by the caller-supplied transaction body,
+ * and each request's enqueue-to-commit latency lands in a per-thread
+ * log-spaced histogram (sim/latency_hist.h), split into warmup and
+ * measurement windows.
  *
  * All waiting is expressed as ThreadContext::compute, so an open-loop
  * run is captured and replayed by the PR 9 trace machinery exactly
@@ -25,12 +26,12 @@
 #include <vector>
 
 #include "rt/arrival.h"
-#include "rt/frontend.h"
 #include "sim/latency_hist.h"
 #include "sim/types.h"
 
 namespace commtm {
 
+class Machine;
 class ThreadContext;
 
 /** Open-loop run shape: arrival process, windows, queue bound, and
@@ -78,7 +79,7 @@ struct ServiceStats {
  * independent of machine config and identical for every machine the
  * frontend shape is instantiated against.
  */
-class OpenLoopFrontend final : public Frontend
+class OpenLoopFrontend
 {
   public:
     /** Services one request: runs (at least) one transaction against
@@ -89,8 +90,8 @@ class OpenLoopFrontend final : public Frontend
     OpenLoopFrontend(const OpenLoopConfig &cfg, uint32_t threads,
                      TxnBody body);
 
-    uint32_t threads() const override;
-    void attach(Machine &machine) override;
+    /** Register the service threads with @p machine. */
+    void attach(Machine &machine);
 
     /** Per-thread measurement-window latency histogram. */
     const LatencyHistogram &measureHist(uint32_t thread) const;

@@ -7,6 +7,7 @@
 #include "sim/commit_log.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 namespace commtm {
@@ -30,13 +31,21 @@ CommitLog::CommitLog(uint32_t num_cores)
 }
 
 void
-CommitLog::noteLabeledOp(CoreId core, CommitOpKind kind, Addr addr,
-                         Label label, const void *operand,
-                         uint32_t size)
+CommitLog::noteLabeledOp(CoreId core, MemOp op, Addr addr, Label label,
+                         const void *operand, uint32_t size)
 {
+    // The digest folds kind bytes 0/1/2 for load[label], store[label]
+    // and load_gather.
+    static_assert(uint8_t(MemOp::LabeledStore) ==
+                          uint8_t(MemOp::LabeledLoad) + 1 &&
+                      uint8_t(MemOp::Gather) ==
+                          uint8_t(MemOp::LabeledLoad) + 2,
+                  "labeled MemOps must be contiguous");
+    assert(isLabeled(op));
+    const uint8_t kind = uint8_t(op) - uint8_t(MemOp::LabeledLoad);
     Pending &p = pending_[core];
     const auto foldShape = [&](FnvDigest &d) {
-        d.u8(uint8_t(kind));
+        d.u8(kind);
         d.u64(addr);
         d.u8(label);
         d.u32(size);

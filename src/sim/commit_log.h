@@ -23,13 +23,6 @@
 
 namespace commtm {
 
-/** What kind of labeled operation a digest entry covers. */
-enum class CommitOpKind : uint8_t {
-    LabeledLoad = 0,
-    LabeledStore = 1,
-    Gather = 2,
-};
-
 /**
  * FNV-1a over explicitly little-endian-encoded fields: the digest of
  * a commit is a pure function of the operation stream, independent of
@@ -136,10 +129,11 @@ class CommitLog
 
     // --- recording (called from the commit path) ---
 
-    /** Fold one labeled op into the pending digests of @p core.
-     *  @p operand is the store value (nullptr for loads/gathers). */
-    void noteLabeledOp(CoreId core, CommitOpKind kind, Addr addr,
-                       Label label, const void *operand, uint32_t size);
+    /** Fold one labeled op (isLabeled(@p op)) into the pending
+     *  digests of @p core. @p operand is the store value (nullptr for
+     *  loads/gathers). */
+    void noteLabeledOp(CoreId core, MemOp op, Addr addr, Label label,
+                       const void *operand, uint32_t size);
 
     /** Fold one committed conventional write-buffer line. */
     void noteWriteLine(CoreId core, Addr line, uint64_t mask,

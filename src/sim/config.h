@@ -78,9 +78,9 @@ struct MachineConfig {
     Cycle routerLatency = 2;
     Cycle linkLatency = 1;
 
-    // Main memory.
+    // Main memory. Controllers are not modeled: every L3 miss pays
+    // memLatency, with no queueing.
     Cycle memLatency = 136;
-    uint32_t memControllers = 4;
 
     // HTM.
     ConflictDetection conflictDetection = ConflictDetection::Eager;
@@ -118,7 +118,7 @@ struct MachineConfig {
      *  "drain" also forces denseInvariants. */
     bool checkInvariants = false;
     /** Additionally sweep after every transaction commit and abort and
-     *  at the end of every directory drain loop. Only meaningful with
+     *  at the end of every top-level memory access. Only meaningful with
      *  checkInvariants, and meant for fuzz-scale machines: a Table I
      *  bench commits millions of transactions and misses constantly,
      *  and a full sweep at each swamps the run. */

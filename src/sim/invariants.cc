@@ -64,11 +64,11 @@ const char *
 InvariantChecker::syncPointName(SyncPoint where)
 {
     switch (where) {
-      case SyncPoint::DrainEnd: return "drain-end";
-      case SyncPoint::Commit:   return "commit";
-      case SyncPoint::Abort:    return "abort";
-      case SyncPoint::Periodic: return "periodic";
-      case SyncPoint::Manual:   return "manual";
+      case SyncPoint::AccessEnd: return "access-end";
+      case SyncPoint::Commit:    return "commit";
+      case SyncPoint::Abort:     return "abort";
+      case SyncPoint::Periodic:  return "periodic";
+      case SyncPoint::Manual:    return "manual";
     }
     return "?";
 }

@@ -107,11 +107,11 @@ class InvariantChecker
   public:
     /** Where in the simulation a sweep was triggered from. */
     enum class SyncPoint : uint8_t {
-        DrainEnd, //!< end of a directory drain loop (access())
-        Commit,   //!< after an HTM commit completed
-        Abort,    //!< after an HTM abort attempt completed
-        Periodic, //!< every 100000 cycles (checkInvariants)
-        Manual,   //!< explicit call (tests)
+        AccessEnd, //!< end of a top-level MemorySystem::access()
+        Commit,    //!< after an HTM commit completed
+        Abort,     //!< after an HTM abort attempt completed
+        Periodic,  //!< every 100000 cycles (checkInvariants)
+        Manual,    //!< explicit call (tests)
     };
 
     InvariantChecker(const MachineConfig &cfg, const MemorySystem &mem,

@@ -60,6 +60,32 @@ constexpr uint32_t kMaxHwLabels = 8;
 /** An invalid core id (e.g., "no owner"). */
 constexpr CoreId kNoCore = ~0u;
 
+/** The five memory operations of the ISA. The enumerator values are
+ *  part of the trace format (trace/trace_format.h) and the commit-log
+ *  digest (sim/commit_log.h); do not reorder. */
+enum class MemOp : uint8_t {
+    Load,         //!< conventional load
+    Store,        //!< conventional store
+    LabeledLoad,  //!< load[label] (Sec. III-A)
+    LabeledStore, //!< store[label]
+    Gather,       //!< load_gather[label] (Sec. IV)
+};
+
+/** load[label], store[label] or load_gather. */
+constexpr bool
+isLabeled(MemOp op)
+{
+    return op == MemOp::LabeledLoad || op == MemOp::LabeledStore ||
+           op == MemOp::Gather;
+}
+
+/** store or store[label]: the op carries an operand to write. */
+constexpr bool
+isStore(MemOp op)
+{
+    return op == MemOp::Store || op == MemOp::LabeledStore;
+}
+
 } // namespace commtm
 
 #endif // COMMTM_SIM_TYPES_H

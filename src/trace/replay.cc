@@ -1,8 +1,8 @@
 /**
  * @file
  * ReplayFrontend implementation: one simulated thread per captured
- * stream, re-issuing records through the ThreadContext untyped paths
- * with transactions re-run under the live HTM's outcomes.
+ * stream, re-issuing records through ThreadContext::access with
+ * transactions re-run under the live HTM's outcomes.
  */
 
 #include "trace/replay.h"
@@ -40,21 +40,17 @@ ReplayFrontend::replayOne(ThreadContext &ctx, const TraceRecord &rec)
         ctx.compute(rec.a);
         break;
       case TraceOpKind::Load:
-        ctx.readUntyped(rec.addr, scratch, rec.size);
-        break;
       case TraceOpKind::Store:
-        ctx.writeUntyped(rec.addr, rec.data.data(), rec.size);
-        break;
       case TraceOpKind::LabeledLoad:
-        ctx.readLabeledUntyped(rec.addr, rec.label, scratch, rec.size);
-        break;
       case TraceOpKind::LabeledStore:
-        ctx.writeLabeledUntyped(rec.addr, rec.label, rec.data.data(),
-                                rec.size);
+      case TraceOpKind::Gather: {
+        const MemOp op = memOpOf(rec.kind);
+        // A store only reads its operand.
+        void *data = isStore(op) ? const_cast<uint8_t *>(rec.data.data())
+                                 : scratch;
+        ctx.access(op, rec.addr, rec.label, data, rec.size);
         break;
-      case TraceOpKind::Gather:
-        ctx.readGatherUntyped(rec.addr, rec.label, scratch, rec.size);
-        break;
+      }
       case TraceOpKind::Annotation:
         ctx.annotate(uint32_t(rec.a), rec.b);
         break;

@@ -37,7 +37,7 @@
  * streams are strongly local, so deltas keep most records at 3-5
  * bytes. No access record straddles a cache line (bulk
  * readBytes/writeBytes calls capture one record per line chunk), so
- * every record replays through the single-issue untyped paths. Only
+ * every record replays through ThreadContext::access. Only
  * committed transaction attempts appear (aborted attempts are
  * discarded at capture, exactly like the commit log's pending
  * digests); a replayed transaction that aborts re-issues the recorded
@@ -70,6 +70,29 @@ enum class TraceOpKind : uint8_t {
     Annotation = 9,
 };
 
+/** The access record kind of @p op: the five MemOps in order. */
+constexpr TraceOpKind
+traceKind(MemOp op)
+{
+    return TraceOpKind(uint8_t(op) + 1);
+}
+
+/** The MemOp of an access record kind (Load..Gather). */
+constexpr MemOp
+memOpOf(TraceOpKind kind)
+{
+    return MemOp(uint8_t(kind) - 1);
+}
+
+static_assert(traceKind(MemOp::Load) == TraceOpKind::Load &&
+                  traceKind(MemOp::Store) == TraceOpKind::Store &&
+                  traceKind(MemOp::LabeledLoad) ==
+                      TraceOpKind::LabeledLoad &&
+                  traceKind(MemOp::LabeledStore) ==
+                      TraceOpKind::LabeledStore &&
+                  traceKind(MemOp::Gather) == TraceOpKind::Gather,
+              "access record kinds follow MemOp's order");
+
 /** Annotation codes emitted by the commutative data-type library
  *  (structure-level ops; observation-only, like the records guide a
  *  reader but never affect replay timing). */
@@ -85,16 +108,28 @@ constexpr char kMagic[8] = {'C', 'T', 'M', 'T', 'R', 'A', 'C', 'E'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = 32;
 constexpr size_t kThreadEntryBytes = 16;
+/** Longest LEB128 encoding of a uint64_t. */
+constexpr size_t kMaxVarintBytes = 10;
 
-/** Append @p v LEB128-encoded (7 bits per byte, high bit = more). */
+/** Write @p v LEB128-encoded (7 bits per byte, high bit = more) at
+ *  @p p; returns the end of the encoding. */
+inline uint8_t *
+putVarint(uint8_t *p, uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = uint8_t(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = uint8_t(v);
+    return p;
+}
+
+/** Append @p v LEB128-encoded. */
 inline void
 putVarint(std::vector<uint8_t> &out, uint64_t v)
 {
-    while (v >= 0x80) {
-        out.push_back(uint8_t(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(uint8_t(v));
+    uint8_t buf[kMaxVarintBytes];
+    out.insert(out.end(), buf, putVarint(buf, v));
 }
 
 /** Zigzag-map a signed delta into the varint-friendly unsigneds. */
@@ -140,7 +175,6 @@ configFingerprint(const MachineConfig &cfg)
     d.u64(cfg.routerLatency);
     d.u64(cfg.linkLatency);
     d.u64(cfg.memLatency);
-    d.u32(cfg.memControllers);
     d.u8(uint8_t(cfg.conflictDetection));
     d.u8(uint8_t(cfg.conflictPolicy));
     d.u64(cfg.backoffBase);

@@ -168,8 +168,7 @@ parseStream(uint32_t thread, const uint8_t *data, size_t size,
                                        ": access straddles a cache "
                                        "line");
             }
-            if (rec.kind != TraceOpKind::Load &&
-                rec.kind != TraceOpKind::Store) {
+            if (isLabeled(memOpOf(rec.kind))) {
                 if (!cur.u8(&rec.label)) {
                     return fail(error, recordWhere(thread, index) +
                                            ": truncated label");
@@ -182,8 +181,7 @@ parseStream(uint32_t thread, const uint8_t *data, size_t size,
                                     std::to_string(rec.label));
                 }
             }
-            if (rec.kind == TraceOpKind::Store ||
-                rec.kind == TraceOpKind::LabeledStore) {
+            if (isStore(memOpOf(rec.kind))) {
                 if (!cur.bytes(&rec.data, rec.size)) {
                     return fail(error, recordWhere(thread, index) +
                                            ": truncated operand (" +

@@ -1,14 +1,16 @@
 /**
  * @file
- * TraceWriter implementation: per-thread varint/delta record encoding,
- * per-attempt buffering (flush on commit, discard on abort), and the
- * sealed-header serializer.
+ * TraceWriter implementation: per-thread varint/delta record encoding
+ * straight into the thread streams (an aborted attempt is truncated
+ * away), and the sealed-header serializer.
  */
 
 #include "trace/trace_writer.h"
 
 #include <cassert>
 #include <cstring>
+
+#include "sim/check.h"
 
 namespace commtm {
 
@@ -25,111 +27,45 @@ TraceWriter::recordsOf(CoreId core) const
     return streams_[core].records;
 }
 
-void
-TraceWriter::encode(Stream &s, TraceOpKind kind, Addr addr,
-                    uint32_t size, Label label, const uint8_t *data,
-                    uint64_t a, uint64_t b)
-{
-    s.bytes.push_back(uint8_t(kind));
-    switch (kind) {
-      case TraceOpKind::Compute:
-        putVarint(s.bytes, a);
-        break;
-      case TraceOpKind::Load:
-      case TraceOpKind::Store:
-      case TraceOpKind::LabeledLoad:
-      case TraceOpKind::LabeledStore:
-      case TraceOpKind::Gather:
-        putVarint(s.bytes, zigzag(int64_t(addr - s.lastAddr)));
-        putVarint(s.bytes, size);
-        s.lastAddr = addr;
-        if (kind != TraceOpKind::Load && kind != TraceOpKind::Store)
-            s.bytes.push_back(label);
-        if (kind == TraceOpKind::Store ||
-            kind == TraceOpKind::LabeledStore) {
-            s.bytes.insert(s.bytes.end(), data, data + size);
-        }
-        break;
-      case TraceOpKind::TxBegin:
-      case TraceOpKind::TxEnd:
-      case TraceOpKind::Barrier:
-        break;
-      case TraceOpKind::Annotation:
-        putVarint(s.bytes, a);
-        putVarint(s.bytes, b);
-        break;
-    }
-    s.records++;
-}
-
-void
-TraceWriter::note(CoreId core, TraceOpKind kind, Addr addr,
-                  uint32_t size, Label label, const void *data,
-                  uint64_t a, uint64_t b)
+TraceWriter::Stream &
+TraceWriter::record(CoreId core, TraceOpKind kind)
 {
     Stream &s = streams_[core];
-    if (!s.inAttempt) {
-        encode(s, kind, addr, size, label,
-               static_cast<const uint8_t *>(data), a, b);
-        return;
-    }
-    PendingOp op;
-    op.kind = kind;
-    op.addr = addr;
-    op.size = size;
-    op.label = label;
-    op.a = a;
-    op.b = b;
-    if (data != nullptr) {
-        op.dataOff = uint32_t(s.attemptData.size());
-        op.dataLen = size;
-        const auto *bytes = static_cast<const uint8_t *>(data);
-        s.attemptData.insert(s.attemptData.end(), bytes, bytes + size);
-    }
-    s.attempt.push_back(op);
+    s.bytes.push_back(uint8_t(kind));
+    s.records++;
+    return s;
 }
 
 void
 TraceWriter::noteCompute(CoreId core, uint64_t instrs)
 {
-    note(core, TraceOpKind::Compute, 0, 0, kNoLabel, nullptr, instrs,
-         0);
+    putVarint(record(core, TraceOpKind::Compute).bytes, instrs);
 }
 
 void
-TraceWriter::noteLoad(CoreId core, Addr addr, uint32_t size)
+TraceWriter::noteAccess(CoreId core, MemOp op, Addr addr, uint32_t size,
+                        Label label, const void *data)
 {
-    note(core, TraceOpKind::Load, addr, size, kNoLabel, nullptr, 0, 0);
-}
-
-void
-TraceWriter::noteStore(CoreId core, Addr addr, uint32_t size,
-                       const void *data)
-{
-    note(core, TraceOpKind::Store, addr, size, kNoLabel, data, 0, 0);
-}
-
-void
-TraceWriter::noteLabeledLoad(CoreId core, Addr addr, uint32_t size,
-                             Label label)
-{
-    note(core, TraceOpKind::LabeledLoad, addr, size, label, nullptr, 0,
-         0);
-}
-
-void
-TraceWriter::noteLabeledStore(CoreId core, Addr addr, uint32_t size,
-                              Label label, const void *data)
-{
-    note(core, TraceOpKind::LabeledStore, addr, size, label, data, 0,
-         0);
-}
-
-void
-TraceWriter::noteGather(CoreId core, Addr addr, uint32_t size,
-                        Label label)
-{
-    note(core, TraceOpKind::Gather, addr, size, label, nullptr, 0, 0);
+    // Encode into a local buffer and append once: in an abort-heavy
+    // run most records are truncated away again, so a record's append
+    // must cost about what buffering it did.
+    COMMTM_CHECK(size <= kLineSize, "captured access of %u bytes "
+                                    "exceeds a cache line", size);
+    uint8_t buf[1 + 2 * kMaxVarintBytes + 1 + kLineSize];
+    Stream &s = streams_[core];
+    uint8_t *p = buf;
+    *p++ = uint8_t(traceKind(op));
+    p = putVarint(p, zigzag(int64_t(addr - s.lastAddr)));
+    p = putVarint(p, size);
+    if (isLabeled(op))
+        *p++ = label;
+    if (isStore(op)) {
+        std::memcpy(p, data, size);
+        p += size;
+    }
+    s.bytes.insert(s.bytes.end(), buf, p);
+    s.records++;
+    s.lastAddr = addr;
 }
 
 void
@@ -137,40 +73,32 @@ TraceWriter::noteBarrier(CoreId core)
 {
     assert(!streams_[core].inAttempt &&
            "barriers cannot appear inside transactions");
-    note(core, TraceOpKind::Barrier, 0, 0, kNoLabel, nullptr, 0, 0);
+    record(core, TraceOpKind::Barrier);
 }
 
 void
 TraceWriter::noteAnnotation(CoreId core, uint32_t code, uint64_t value)
 {
-    note(core, TraceOpKind::Annotation, 0, 0, kNoLabel, nullptr, code,
-         value);
+    Stream &s = record(core, TraceOpKind::Annotation);
+    putVarint(s.bytes, code);
+    putVarint(s.bytes, value);
 }
 
 void
 TraceWriter::beginAttempt(CoreId core)
 {
     Stream &s = streams_[core];
-    s.attempt.clear();
-    s.attemptData.clear();
+    assert(!s.inAttempt);
+    s.attemptStart = {s.bytes.size(), s.records, s.lastAddr};
     s.inAttempt = true;
+    record(core, TraceOpKind::TxBegin);
 }
 
 void
 TraceWriter::commitAttempt(CoreId core)
 {
-    Stream &s = streams_[core];
+    Stream &s = record(core, TraceOpKind::TxEnd);
     assert(s.inAttempt);
-    encode(s, TraceOpKind::TxBegin, 0, 0, kNoLabel, nullptr, 0, 0);
-    for (const PendingOp &op : s.attempt) {
-        const uint8_t *data =
-            op.dataLen ? s.attemptData.data() + op.dataOff : nullptr;
-        encode(s, op.kind, op.addr, op.size, op.label, data, op.a,
-               op.b);
-    }
-    encode(s, TraceOpKind::TxEnd, 0, 0, kNoLabel, nullptr, 0, 0);
-    s.attempt.clear();
-    s.attemptData.clear();
     s.inAttempt = false;
     commitOrder_.push_back(core);
 }
@@ -180,14 +108,19 @@ TraceWriter::abortAttempt(CoreId core)
 {
     Stream &s = streams_[core];
     assert(s.inAttempt);
-    s.attempt.clear();
-    s.attemptData.clear();
+    s.bytes.resize(s.attemptStart.bytes);
+    s.records = s.attemptStart.records;
+    s.lastAddr = s.attemptStart.lastAddr;
     s.inAttempt = false;
 }
 
 std::vector<uint8_t>
 TraceWriter::serialize() const
 {
+    for (const Stream &s : streams_) {
+        COMMTM_CHECK(!s.inAttempt, "trace serialized while a "
+                                   "transaction attempt is open");
+    }
     std::vector<uint8_t> out;
     size_t total = kHeaderBytes + streams_.size() * kThreadEntryBytes +
                    commitOrder_.size();

@@ -1,17 +1,19 @@
 /**
  * @file
  * Trace capture (docs/ARCHITECTURE.md Sec. 11): TraceWriter records
- * each thread's logical op stream as the ThreadContext issue paths
- * call its note hooks. Strictly observation-only, same discipline as
- * the commit log: hooks buffer host-side state and never touch
- * simulated behavior, so the exact-counter baseline wall runs
- * bit-identical with capture enabled (COMMTM_CAPTURE_TRACE in CI).
+ * each thread's logical op stream as ThreadContext calls its note
+ * hooks. Strictly observation-only, same discipline as the commit
+ * log: hooks append host-side bytes and never touch simulated
+ * behavior, so the exact-counter baseline wall runs bit-identical
+ * with capture enabled (COMMTM_CAPTURE_TRACE in CI).
  *
- * Transactional ops buffer per attempt and flush only at commit —
- * the captured stream holds committed attempts only, bracketed by
- * TxBegin/TxEnd records. commitAttempt() runs at the HtmManager
- * commit point, which is atomic in simulated time, so the trace's
- * commit order equals the functional commit order.
+ * Every record is encoded straight into its thread's stream. An
+ * attempt writes TxBegin when it opens; an abort truncates the stream
+ * back to before that TxBegin, so the captured stream holds committed
+ * attempts only, bracketed by TxBegin/TxEnd records. commitAttempt()
+ * runs at the HtmManager commit point, which is atomic in simulated
+ * time, so the trace's commit order equals the functional commit
+ * order.
  */
 
 #ifndef COMMTM_TRACE_TRACE_WRITER_H
@@ -33,25 +35,23 @@ class TraceWriter
     // --- capture hooks (ThreadContext issue paths) ---
 
     void noteCompute(CoreId core, uint64_t instrs);
-    void noteLoad(CoreId core, Addr addr, uint32_t size);
-    void noteStore(CoreId core, Addr addr, uint32_t size,
-                   const void *data);
-    void noteLabeledLoad(CoreId core, Addr addr, uint32_t size,
-                         Label label);
-    void noteLabeledStore(CoreId core, Addr addr, uint32_t size,
-                          Label label, const void *data);
-    void noteGather(CoreId core, Addr addr, uint32_t size, Label label);
+    /** One memory op as the workload issued it. @p label is recorded
+     *  for labeled ops, @p size operand bytes at @p data for stores;
+     *  both are ignored otherwise. */
+    void noteAccess(CoreId core, MemOp op, Addr addr, uint32_t size,
+                    Label label, const void *data);
     void noteBarrier(CoreId core);
     void noteAnnotation(CoreId core, uint32_t code, uint64_t value);
 
-    /** A transaction attempt opened on @p core: start buffering. */
+    /** A transaction attempt opened on @p core: write TxBegin and
+     *  remember where the stream stood before it. */
     void beginAttempt(CoreId core);
-    /** The attempt committed: flush it (TxBegin, ops, TxEnd) to the
-     *  thread stream and append @p core to the commit order. Must be
-     *  called at the functional commit point, before the committing
-     *  thread can yield. */
+    /** The attempt committed: write TxEnd and append @p core to the
+     *  commit order. Must be called at the functional commit point,
+     *  before the committing thread can yield. */
     void commitAttempt(CoreId core);
-    /** The attempt aborted: discard its buffered ops. */
+    /** The attempt aborted: truncate the stream back to before its
+     *  TxBegin. */
     void abortAttempt(CoreId core);
 
     // --- inspection / persistence ---
@@ -62,21 +62,16 @@ class TraceWriter
     uint64_t fingerprint() const { return fingerprint_; }
 
     /** Encode the trace (docs/ARCHITECTURE.md Sec. 11 format). Call
-     *  after Machine::run(): a still-open attempt is not flushed. */
+     *  after Machine::run(): no attempt may be open. */
     std::vector<uint8_t> serialize() const;
 
   private:
-    /** One buffered in-attempt op, encoded only if the attempt
-     *  commits (operand bytes live in Stream::attemptData). */
-    struct PendingOp {
-        TraceOpKind kind;
-        Addr addr = 0;
-        uint32_t size = 0;
-        Label label = kNoLabel;
-        uint64_t a = 0; //!< Compute instrs / Annotation code
-        uint64_t b = 0; //!< Annotation value
-        uint32_t dataOff = 0;
-        uint32_t dataLen = 0;
+    /** Where a stream stood; beginAttempt takes one, abortAttempt
+     *  rolls back to it. */
+    struct Mark {
+        size_t bytes = 0;
+        uint64_t records = 0;
+        Addr lastAddr = 0;
     };
 
     struct Stream {
@@ -84,15 +79,12 @@ class TraceWriter
         uint64_t records = 0;
         Addr lastAddr = 0; //!< delta base: previous addressed record
         bool inAttempt = false;
-        std::vector<PendingOp> attempt;
-        std::vector<uint8_t> attemptData;
+        Mark attemptStart; //!< valid while inAttempt
     };
 
-    void note(CoreId core, TraceOpKind kind, Addr addr, uint32_t size,
-              Label label, const void *data, uint64_t a, uint64_t b);
-    void encode(Stream &s, TraceOpKind kind, Addr addr, uint32_t size,
-                Label label, const uint8_t *data, uint64_t a,
-                uint64_t b);
+    /** Start a @p kind record on @p core's stream; the caller
+     *  appends its payload. */
+    Stream &record(CoreId core, TraceOpKind kind);
 
     uint64_t fingerprint_;
     std::vector<Stream> streams_;

@@ -5,7 +5,7 @@
  * stay bit-identical under the exception-free abort path: a forced
  * two-core abort storm (eager and lazy), the stats-bucket attribution
  * of an aborted attempt's cycles, and a 256-thread deep-gather case
- * that stresses the flat (non-recursive) reduction drain.
+ * that stresses reductions over hundreds of U sharers.
  */
 
 #include <gtest/gtest.h>
@@ -220,9 +220,9 @@ TEST(AbortPath, NonCooperativeBodyHitsTheExceptionFallback)
 /**
  * Deep-gather case: 256 threads share one bounded counter; the
  * drainer's gathers and full reductions fan out over 255 U sharers.
- * On the old recursive reduction re-entry this nested the directory
- * walk, the handler, and the handler's access() frames per donor; the
- * drain-loop path runs them iteratively at fixed depth.
+ * Each donor's handler must re-enter access() at most one level deep
+ * (docs/ARCHITECTURE.md Sec. 3.2), so the host stack depth stays
+ * fixed however many donors there are.
  */
 TEST(AbortPath, DeepGatherAt256Threads)
 {

@@ -16,6 +16,7 @@
 
 #include "htm/htm.h"
 #include "mem/coherence.h"
+#include "sim/invariants.h"
 
 namespace commtm {
 namespace {
@@ -467,6 +468,124 @@ TEST_F(CoherenceTest, MultiSharerUEvictionForwardsToAnotherSharer)
     std::memcpy(&v, ms.uCopy(1, lineAddr(base)).data(), sizeof(v));
     EXPECT_EQ(v, 50); // core 0's copy merged into core 1's
     EXPECT_EQ(stats2.uForwards, 1u);
+}
+
+TEST_F(CoherenceTest, MultiSharerL3UEvictionReducesAllCopies)
+{
+    // Inclusive L3 eviction of a line with four U sharers (Sec.
+    // III-B5): the copies reduce into memory, and a transaction that
+    // accessed the line dies with UEviction.
+    SimMemory memory2;
+    MachineStats stats2;
+    Rng rng2(3);
+    MachineConfig geom;
+    geom.numCores = 4;
+    geom.l3SizeKB = 1; // 16 lines, 2 ways -> 8 sets
+    geom.l3Ways = 2;
+    LabelRegistry reg(geom.hwLabels);
+    const Label add = reg.define(labels::makeAdd<int64_t>("ADD"));
+    MemorySystem ms(geom, memory2, reg, stats2, rng2);
+    HtmManager htm(geom, ms, memory2);
+    const auto issue = [&](CoreId core, Addr addr, MemOp op, Label label,
+                           bool is_tx) {
+        Access a;
+        a.core = core;
+        a.addr = addr;
+        a.size = 8;
+        a.op = op;
+        a.label = label;
+        a.isTx = is_tx;
+        a.ts = is_tx ? htm.txTs(core) : 0;
+        return ms.access(a);
+    };
+
+    const Addr base = 0x300000;
+    const Addr line = lineAddr(base);
+    memory2.write<int64_t>(base, 5);
+    const int64_t copies[4] = {5, 10, 20, 40};
+    for (CoreId c = 0; c < 4; c++) {
+        issue(c, base, MemOp::LabeledStore, add, false);
+        std::memcpy(ms.uCopy(c, line).data(), &copies[c], 8);
+    }
+    ASSERT_EQ(ms.dirState(line), DirState::U);
+    ASSERT_EQ(ms.sharerCount(line), 4u);
+
+    // Core 2 opens a transaction and reads the line labeled (L1 hit).
+    htm.beginAttempt(2);
+    ASSERT_FALSE(
+        issue(2, base, MemOp::LabeledLoad, add, true).mustAbort());
+
+    // Fill both ways of the line's L3 set from core 3: the U line is
+    // the LRU way, so the second fill evicts it.
+    const uint32_t l3_sets = geom.l3Lines() / geom.l3Ways;
+    for (uint32_t i = 1; i <= geom.l3Ways; i++)
+        issue(3, base + Addr(i) * l3_sets * kLineSize, MemOp::Load,
+              kNoLabel, false);
+
+    EXPECT_EQ(ms.dirState(line), DirState::NonCached);
+    for (CoreId c = 0; c < 4; c++)
+        EXPECT_FALSE(ms.coreHasU(c, line));
+    EXPECT_EQ(memory2.read<int64_t>(base), 5 + 10 + 20 + 40);
+    EXPECT_TRUE(htm.doomed(2));
+    EXPECT_EQ(htm.doomCause(2), AbortCause::UEviction);
+    EXPECT_EQ(stats2.reductions, 1u);
+    InvariantChecker checker(geom, ms, htm);
+    std::vector<InvariantViolation> violations;
+    EXPECT_EQ(checker.sweep(violations), 0u)
+        << (violations.empty() ? "" : violations[0].message);
+}
+
+TEST_F(CoherenceTest, StoreHittingExclusiveL2LineUpgradesBothLevels)
+{
+    // A line read in E falls out of the L1 but stays in the L2; a
+    // store then hits the L2 and upgrades E -> M locally, with no
+    // directory request.
+    SimMemory memory2;
+    MachineStats stats2;
+    Rng rng2(3);
+    MachineConfig geom;
+    geom.numCores = 2;
+    geom.l1SizeKB = 1; // 16 lines, 8 ways -> 2 sets
+    LabelRegistry reg(geom.hwLabels);
+    MemorySystem ms(geom, memory2, reg, stats2, rng2);
+    HtmManager htm(geom, ms, memory2);
+    const auto issue = [&](CoreId core, Addr addr, MemOp op) {
+        Access a;
+        a.core = core;
+        a.addr = addr;
+        a.size = 8;
+        a.op = op;
+        return ms.access(a);
+    };
+
+    const Addr base = 0x400000;
+    const Addr line = lineAddr(base);
+    issue(0, base, MemOp::Load);
+    ASSERT_EQ(ms.privState(0, line), PrivState::E);
+    // Evict the line from the L1 only: its L1 set's other lines map
+    // to distinct L2 sets.
+    const uint32_t l1_sets = geom.l1Lines() / geom.l1Ways;
+    for (uint32_t i = 1; i <= geom.l1Ways; i++)
+        issue(0, base + Addr(i) * l1_sets * kLineSize, MemOp::Load);
+
+    const uint64_t l2_hits = stats2.l2Hits;
+    const uint64_t getx = stats2.l3Gets[size_t(GetType::GETX)];
+    issue(0, base, MemOp::Store);
+    EXPECT_EQ(stats2.l2Hits, l2_hits + 1); // served by the L2
+    EXPECT_EQ(stats2.l3Gets[size_t(GetType::GETX)], getx);
+    EXPECT_EQ(ms.privState(0, line), PrivState::M);
+    EXPECT_EQ(ms.dirState(line), DirState::M);
+    // Inclusion (L1 and L2 agree on the state) holds machine-wide.
+    InvariantChecker checker(geom, ms, htm);
+    std::vector<InvariantViolation> violations;
+    EXPECT_EQ(checker.sweep(violations), 0u)
+        << (violations.empty() ? "" : violations[0].message);
+    // Both levels are dirty: a remote read downgrades the owner and
+    // counts one writeback per dirty level.
+    const uint64_t writebacks = stats2.writebacks;
+    issue(1, base, MemOp::Load);
+    EXPECT_EQ(stats2.writebacks, writebacks + 2);
+    EXPECT_EQ(ms.privState(0, line), PrivState::S);
 }
 
 } // namespace

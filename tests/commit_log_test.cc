@@ -30,13 +30,18 @@ twoCoreConfig()
     return c;
 }
 
+/** Kind bytes the digest folds for load[label] and store[label]
+ *  (load_gather is 2): part of the digest contract. */
+constexpr uint8_t kLabeledLoadKind = 0;
+constexpr uint8_t kLabeledStoreKind = 1;
+
 /** Fold one labeled op's structural fields the way noteLabeledOp
  *  does, so the test recomputes expected digests independently. */
 void
-foldShape(FnvDigest &d, CommitOpKind kind, Addr addr, Label label,
+foldShape(FnvDigest &d, uint8_t kind, Addr addr, Label label,
           uint32_t size)
 {
-    d.u8(uint8_t(kind));
+    d.u8(kind);
     d.u64(addr);
     d.u8(label);
     d.u32(size);
@@ -97,10 +102,10 @@ TEST(CommitLog, PinnedDigestsForTwoCoreEagerRun)
 
     // Recompute every digest from first principles.
     FnvDigest shape0, values0;
-    foldShape(shape0, CommitOpKind::LabeledLoad, a, add, 8);
-    foldShape(shape0, CommitOpKind::LabeledStore, a, add, 8);
-    foldShape(values0, CommitOpKind::LabeledLoad, a, add, 8);
-    foldShape(values0, CommitOpKind::LabeledStore, a, add, 8);
+    foldShape(shape0, kLabeledLoadKind, a, add, 8);
+    foldShape(shape0, kLabeledStoreKind, a, add, 8);
+    foldShape(values0, kLabeledLoadKind, a, add, 8);
+    foldShape(values0, kLabeledStoreKind, a, add, 8);
     const int64_t stored = 7; // memory starts zeroed, so 0 + 7
     values0.bytes(&stored, sizeof(stored));
     EXPECT_EQ(r0.labeledShape, shape0.value());
@@ -118,7 +123,7 @@ TEST(CommitLog, PinnedDigestsForTwoCoreEagerRun)
     EXPECT_EQ(r1.writeSet, writes1.value());
 
     FnvDigest shape2;
-    foldShape(shape2, CommitOpKind::LabeledLoad, a, add, 8);
+    foldShape(shape2, kLabeledLoadKind, a, add, 8);
     EXPECT_EQ(r2.labeledShape, shape2.value());
     EXPECT_EQ(r2.labeledValues, shape2.value()); // load: no operand
     EXPECT_EQ(r2.writeSet, FnvDigest::kBasis);
@@ -143,12 +148,12 @@ TEST(CommitLog, DiffModesSeparateInterleavingValuesAndShape)
                                   Addr addr) {
         CommitLog log(2);
         const auto sealCore0 = [&] {
-            log.noteLabeledOp(0, CommitOpKind::LabeledStore, addr, 1,
+            log.noteLabeledOp(0, MemOp::LabeledStore, addr, 1,
                               &operand, sizeof(operand));
             log.sealCommit(0, 10);
         };
         const auto sealCore1 = [&] {
-            log.noteLabeledOp(1, CommitOpKind::LabeledLoad, 0x30000,
+            log.noteLabeledOp(1, MemOp::LabeledLoad, 0x30000,
                               2, nullptr, 8);
             log.sealCommit(1, 20);
         };
@@ -195,7 +200,7 @@ TEST(CommitLog, DiffModesSeparateInterleavingValuesAndShape)
 
     // Missing commit on one side: per-core counts differ.
     CommitLog f(2);
-    f.noteLabeledOp(0, CommitOpKind::LabeledStore, 0x10000, 1, &v,
+    f.noteLabeledOp(0, MemOp::LabeledStore, 0x10000, 1, &v,
                     sizeof(v));
     f.sealCommit(0, 10);
     d = CommitLog::diff(a, f.records(), DiffMode::Shape);
@@ -210,7 +215,7 @@ TEST(CommitLog, AbortDiscardsPendingDigestsAndTracksLastCommit)
     CommitLog log(2);
     EXPECT_EQ(log.commitsOf(0), 0u);
     const int64_t v = 99;
-    log.noteLabeledOp(0, CommitOpKind::LabeledStore, 0x10000, 1, &v,
+    log.noteLabeledOp(0, MemOp::LabeledStore, 0x10000, 1, &v,
                       sizeof(v));
     log.abortAttempt(0); // discard the attempt's digests
     log.sealCommit(0, 50);
@@ -235,7 +240,7 @@ TEST(CommitLog, OperandFlipHookChangesOnlyTheValuesDigest)
         if (flip)
             log.setTestOperandFlip(0, 0, 0, 2);
         const int64_t v = 7;
-        log.noteLabeledOp(0, CommitOpKind::LabeledStore, 0x10000, 1,
+        log.noteLabeledOp(0, MemOp::LabeledStore, 0x10000, 1,
                           &v, sizeof(v));
         log.sealCommit(0, 10);
         return log;

@@ -61,7 +61,7 @@ fuzzConfig(uint64_t seed, uint32_t cores, ConflictDetection detection)
     c.seed = seed;
     c.recordCommits = true;
     // Invariant sweeps (Sec. 10): full density (every commit,
-    // abort, and drain-loop exit) up to the 128-sharer inline
+    // abort, and top-level access) up to the 128-sharer inline
     // boundary; the spilled-sharer geometries keep periodic +
     // end-of-run sweeps — a whole-machine sweep per access at
     // 130-256 cores multiplies Debug fuzz time ~10x without adding

@@ -111,7 +111,7 @@ TEST_P(OpenLoopFuzz, OracleAndInvariantsComposeWithOpenLoop)
 
     // The machine state, the host model, and the serially re-executed
     // commit order must all agree — with the invariant sweeps having
-    // run at every tx end and drain along the way.
+    // run at every tx end and memory access along the way.
     for (uint32_t c = 0; c < kCounters; c++) {
         const LineData line =
             m.memSys().debugReducedValue(lineAddr(counters[c]));

@@ -94,16 +94,18 @@ sampleWriter()
 
     w.noteCompute(0, 5);
     w.beginAttempt(0);
-    w.noteLoad(0, 0x10000, 8);
-    w.noteLabeledStore(0, 0x10040, 8, Label(1), &operand);
+    w.noteAccess(0, MemOp::Load, 0x10000, 8, kNoLabel, nullptr);
+    w.noteAccess(0, MemOp::LabeledStore, 0x10040, 8, Label(1),
+                 &operand);
     w.commitAttempt(0);
     w.noteAnnotation(0, kAnnotCounterAdd, 7);
 
     w.beginAttempt(1);
-    w.noteStore(1, 0x20000, 8, &operand); // discarded by the abort
+    // discarded by the abort
+    w.noteAccess(1, MemOp::Store, 0x20000, 8, kNoLabel, &operand);
     w.abortAttempt(1);
     w.beginAttempt(1);
-    w.noteGather(1, 0x10000, 8, Label(1));
+    w.noteAccess(1, MemOp::Gather, 0x10000, 8, Label(1), nullptr);
     w.commitAttempt(1);
     w.noteBarrier(1);
     return w;
