@@ -106,8 +106,6 @@ class LabelRegistry
         return label < hwLabels_;
     }
 
-    uint32_t hwLabels() const { return hwLabels_; }
-
   private:
     uint32_t hwLabels_;
     std::vector<LabelInfo> labels_;

@@ -29,11 +29,10 @@ HtmManager::beginAttempt(CoreId core)
                          "nesting support");
     tx.active = true;
     tx.doomed = false;
-    if (!tx.tsAssigned) {
+    if (tx.ts == 0) {
         // Timestamps order whole transactions, not attempts: an aborted
         // transaction keeps its timestamp so it ages and eventually wins.
         tx.ts = nextTs_++;
-        tx.tsAssigned = true;
     }
 }
 
@@ -43,13 +42,13 @@ HtmManager::releaseSpecSets(Tx &tx, CoreId core)
     for (Addr line : tx.specLines)
         mem_.clearSpec(core, line);
     tx.specLines.clear();
-    tx.readSet.clear();
-    tx.writeSet.clear();
-    tx.labeledSet.clear();
+    tx.footprint.clear();
 }
 
 void
-HtmManager::lazyArbitrate(CoreId committer)
+HtmManager::lazyArbitrate(CoreId committer,
+                          const std::vector<Addr> &write_lines,
+                          const std::vector<Addr> &labeled_lines)
 {
     // Commit-time conflict detection (TCC/Bulk-style, Sec. III-D): the
     // committer wins against every concurrent transaction that read or
@@ -58,33 +57,28 @@ HtmManager::lazyArbitrate(CoreId committer)
     // to conventional writes. Victims are scanned in core order and
     // each victim's conflict is attributed to the lowest-addressed
     // conflicting line, so the abort-cause counters are deterministic.
-    Tx &me = txs_[committer];
-    const std::vector<Addr> write_lines = me.writeSet.sortedKeys();
-    const std::vector<Addr> labeled_lines = me.labeledSet.sortedKeys();
+    const uint8_t conventional =
+        specBit(SpecKind::Read) | specBit(SpecKind::Write);
     for (CoreId other = 0; other < CoreId(txs_.size()); other++) {
         if (other == committer)
             continue;
-        Tx &o = txs_[other];
+        const Tx &o = txs_[other];
         if (!o.active || o.doomed)
             continue;
-        AbortCause cause = AbortCause::WriteAfterRead;
+        // The victim's own kinds on the line decide the cause: its
+        // write, else its read, else its labeled access.
+        AbortCause cause = AbortCause::LabeledConflict;
         bool conflict = false;
         for (Addr line : write_lines) {
-            if (o.writeSet.contains(line)) {
-                conflict = true;
+            const uint8_t kinds = o.kindsOf(line);
+            if (!kinds)
+                continue;
+            conflict = true;
+            if (kinds & specBit(SpecKind::Write))
                 cause = AbortCause::WriteAfterWrite;
-                break;
-            }
-            if (o.readSet.contains(line)) {
-                conflict = true;
+            else if (kinds & specBit(SpecKind::Read))
                 cause = AbortCause::WriteAfterRead;
-                break;
-            }
-            if (o.labeledSet.contains(line)) {
-                conflict = true;
-                cause = AbortCause::LabeledConflict;
-                break;
-            }
+            break;
         }
         // Published labeled (commutative) updates commute with each
         // other, but NOT with conventional readers or writers of the
@@ -96,13 +90,8 @@ HtmManager::lazyArbitrate(CoreId committer)
         // over a bounded cell could commit against a stale full read
         // whose token a concurrent labeled commit had already moved
         // (caught by the GridClaim fuzz wall).
-        for (size_t i = 0; !conflict && i < labeled_lines.size(); i++) {
-            const Addr line = labeled_lines[i];
-            if (o.readSet.contains(line) || o.writeSet.contains(line)) {
-                conflict = true;
-                cause = AbortCause::LabeledConflict;
-            }
-        }
+        for (size_t i = 0; !conflict && i < labeled_lines.size(); i++)
+            conflict = o.kindsOf(labeled_lines[i]) & conventional;
         if (conflict)
             remoteAbort(other, cause);
     }
@@ -124,12 +113,20 @@ HtmManager::commit(CoreId core)
                  core, int(tx.doomCause));
     Cycle publish_latency = 0;
     if (cfg_.conflictDetection == ConflictDetection::Lazy) {
-        lazyArbitrate(core);
+        std::vector<Addr> write_lines;
+        std::vector<Addr> labeled_lines;
+        tx.footprint.forEachSorted([&](Addr line, uint8_t kinds) {
+            if (kinds & specBit(SpecKind::Write))
+                write_lines.push_back(line);
+            if (kinds & specBit(SpecKind::Labeled))
+                labeled_lines.push_back(line);
+        });
+        lazyArbitrate(core, write_lines, labeled_lines);
         // Publish buffered conventional writes: acquire each written
         // line exclusively with a non-speculative store, which also
         // invalidates remaining sharers. Labeled lines stay in U.
         // Address order keeps publication latency deterministic.
-        for (Addr line : tx.writeSet.sortedKeys()) {
+        for (Addr line : write_lines) {
             Access a;
             a.core = core;
             a.addr = lineBase(line);
@@ -195,7 +192,7 @@ HtmManager::finish(CoreId core)
 {
     Tx &tx = txs_[core];
     assert(!tx.active);
-    tx.tsAssigned = false;
+    tx.ts = 0;
     tx.attempts = 0;
     tx.demoteLabeled = false;
 }

@@ -88,7 +88,7 @@ class HtmManager
     bool
     inLabeledSet(CoreId core, Addr line) const
     {
-        return txs_[core].labeledSet.contains(line);
+        return txs_[core].kindsOf(line) & specBit(SpecKind::Labeled);
     }
 
     // --- called by the coherence protocol (MemorySystem) ---
@@ -118,24 +118,16 @@ class HtmManager
     /** Doom @p victim's transaction (it aborts when next scheduled). */
     void remoteAbort(CoreId victim, AbortCause cause);
 
-    /** A speculative-access bit was newly set for (core, line). */
+    /** (core, line) joined the @p kind set. */
     void
     noteSpecLine(CoreId c, Addr line, SpecKind kind)
     {
         Tx &tx = txs_[c];
         assert(tx.active);
-        tx.specLines.push_back(line);
-        switch (kind) {
-          case SpecKind::Read:
-            tx.readSet.insert(line);
-            break;
-          case SpecKind::Write:
-            tx.writeSet.insert(line);
-            break;
-          case SpecKind::Labeled:
-            tx.labeledSet.insert(line);
-            break;
-        }
+        uint8_t &kinds = tx.footprint[line];
+        if (!kinds)
+            tx.specLines.push_back(line);
+        kinds |= specBit(kind);
     }
 
   private:
@@ -145,24 +137,39 @@ class HtmManager
         bool active = false;
         bool doomed = false;
         AbortCause doomCause = AbortCause::Explicit;
-        bool tsAssigned = false;
+        /** Whole-transaction timestamp; 0 until the first attempt
+         *  assigns one (nextTs_ starts at 1). */
         Timestamp ts = 0;
         uint32_t attempts = 0;
         bool demoteLabeled = false;
-        /** Lines with speculative L1 bits, for O(set) release. */
+        /**
+         * The speculative read, write and labeled sets (Sec. III-B) as
+         * one map: each line's specBit mask of the kinds it joined.
+         * Lazy commit-time arbitration reads it (cache residency is
+         * not required for tracking); ascending-address walks keep
+         * arbitration deterministic.
+         */
+        FlatLineMap<uint8_t> footprint;
+        /** The footprint's lines in joining order, for O(set) release
+         *  of their L1 bits. */
         std::vector<Addr> specLines;
-        /** Signature-style sets, used for lazy commit-time arbitration
-         *  (cache residency is not required for tracking). Flat and
-         *  address-ordered so arbitration order is deterministic. */
-        FlatLineSet readSet;
-        FlatLineSet writeSet;
-        FlatLineSet labeledSet;
         WriteBuffer wb;
+
+        /** @p line's kinds mask; 0 outside the footprint. */
+        uint8_t
+        kindsOf(Addr line) const
+        {
+            const auto kinds = footprint.find(line);
+            return kinds ? *kinds : 0;
+        }
     };
 
     /** Lazy mode: abort every concurrent transaction conflicting with
-     *  the committer's write set. */
-    void lazyArbitrate(CoreId committer);
+     *  the committer's written and labeled lines (each in ascending
+     *  order). */
+    void lazyArbitrate(CoreId committer,
+                       const std::vector<Addr> &write_lines,
+                       const std::vector<Addr> &labeled_lines);
 
     /** Clear all L1 speculative bits of @p core's transaction. */
     void releaseSpecSets(Tx &tx, CoreId core);

@@ -61,9 +61,6 @@ class CommQueue
     /** Collect all committed values (untimed verification helper). */
     std::vector<uint64_t> peekAll(Machine &machine) const;
 
-    Addr headAddr() const { return head_; }
-    Addr tailAddr() const { return tail_; }
-
     /** Chunk layout in simulated memory: one cache line holding
      *  {next, rd, wr} and kChunkCap packed values. A linked chunk is
      *  never empty (rd < wr); enqueue unlinks nothing, dequeue unlinks

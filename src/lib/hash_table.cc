@@ -92,133 +92,97 @@ ResizableHashMap::insert(ThreadContext &ctx, uint64_t key, uint64_t value)
     }
 }
 
+template <typename Body>
 bool
-ResizableHashMap::lookup(ThreadContext &ctx, uint64_t key, uint64_t *value)
+ResizableHashMap::inBucket(ThreadContext &ctx, uint64_t key, Body &&body)
 {
     for (;;) {
-        bool found = false, locked = false;
+        bool result = false, locked = false;
         ctx.txRun([&] {
-            found = locked = false;
+            result = locked = false;
             if (ctx.read<uint64_t>(lock_) != 0) {
                 locked = true;
                 return;
             }
             const Addr buckets = ctx.read<Addr>(bucketsPtrAddr());
             const uint64_t n = ctx.read<uint64_t>(nBucketsAddr());
-            const Addr slot = buckets + 8 * (mix(key) & (n - 1));
-            for (Addr cur = ctx.read<Addr>(slot); cur != 0;
-                 cur = ctx.read<Addr>(cur + kNextOff)) {
-                if (ctx.read<uint64_t>(cur + kKeyOff) == key) {
-                    if (value)
-                        *value = ctx.read<uint64_t>(cur + kValOff);
-                    found = true;
-                    return;
-                }
-            }
+            result = body(buckets + 8 * (mix(key) & (n - 1)));
         });
         if (!locked)
-            return found;
+            return result;
         ctx.compute(128);
     }
+}
+
+Addr
+ResizableHashMap::findKey(ThreadContext &ctx, Addr slot, uint64_t key,
+                          Addr *prev)
+{
+    Addr before = 0;
+    for (Addr cur = ctx.read<Addr>(slot); cur != 0;
+         cur = ctx.read<Addr>(cur + kNextOff)) {
+        if (ctx.read<uint64_t>(cur + kKeyOff) == key) {
+            if (prev)
+                *prev = before;
+            return cur;
+        }
+        before = cur;
+    }
+    return 0;
+}
+
+bool
+ResizableHashMap::lookup(ThreadContext &ctx, uint64_t key, uint64_t *value)
+{
+    return inBucket(ctx, key, [&](Addr slot) {
+        const Addr node = findKey(ctx, slot, key, nullptr);
+        if (node && value)
+            *value = ctx.read<uint64_t>(node + kValOff);
+        return node != 0;
+    });
 }
 
 bool
 ResizableHashMap::update(ThreadContext &ctx, uint64_t key, uint64_t value)
 {
-    for (;;) {
-        bool found = false, locked = false;
-        ctx.txRun([&] {
-            found = locked = false;
-            if (ctx.read<uint64_t>(lock_) != 0) {
-                locked = true;
-                return;
-            }
-            const Addr buckets = ctx.read<Addr>(bucketsPtrAddr());
-            const uint64_t n = ctx.read<uint64_t>(nBucketsAddr());
-            const Addr slot = buckets + 8 * (mix(key) & (n - 1));
-            for (Addr cur = ctx.read<Addr>(slot); cur != 0;
-                 cur = ctx.read<Addr>(cur + kNextOff)) {
-                if (ctx.read<uint64_t>(cur + kKeyOff) == key) {
-                    ctx.write<uint64_t>(cur + kValOff, value);
-                    found = true;
-                    return;
-                }
-            }
-        });
-        if (!locked)
-            return found;
-        ctx.compute(128);
-    }
+    return inBucket(ctx, key, [&](Addr slot) {
+        const Addr node = findKey(ctx, slot, key, nullptr);
+        if (node)
+            ctx.write<uint64_t>(node + kValOff, value);
+        return node != 0;
+    });
 }
 
 bool
 ResizableHashMap::updateWith(ThreadContext &ctx, uint64_t key,
                              const std::function<bool(uint64_t &)> &fn)
 {
-    for (;;) {
-        bool applied = false, locked = false;
-        ctx.txRun([&] {
-            applied = locked = false;
-            if (ctx.read<uint64_t>(lock_) != 0) {
-                locked = true;
-                return;
-            }
-            const Addr buckets = ctx.read<Addr>(bucketsPtrAddr());
-            const uint64_t n = ctx.read<uint64_t>(nBucketsAddr());
-            const Addr slot = buckets + 8 * (mix(key) & (n - 1));
-            for (Addr cur = ctx.read<Addr>(slot); cur != 0;
-                 cur = ctx.read<Addr>(cur + kNextOff)) {
-                if (ctx.read<uint64_t>(cur + kKeyOff) == key) {
-                    uint64_t value = ctx.read<uint64_t>(cur + kValOff);
-                    if (fn(value)) {
-                        ctx.write<uint64_t>(cur + kValOff, value);
-                        applied = true;
-                    }
-                    return;
-                }
-            }
-        });
-        if (!locked)
-            return applied;
-        ctx.compute(128);
-    }
+    return inBucket(ctx, key, [&](Addr slot) {
+        const Addr node = findKey(ctx, slot, key, nullptr);
+        if (!node)
+            return false;
+        uint64_t value = ctx.read<uint64_t>(node + kValOff);
+        if (!fn(value))
+            return false;
+        ctx.write<uint64_t>(node + kValOff, value);
+        return true;
+    });
 }
 
 bool
 ResizableHashMap::erase(ThreadContext &ctx, uint64_t key)
 {
-    for (;;) {
-        bool found = false, locked = false;
-        ctx.txRun([&] {
-            found = locked = false;
-            if (ctx.read<uint64_t>(lock_) != 0) {
-                locked = true;
-                return;
-            }
-            const Addr buckets = ctx.read<Addr>(bucketsPtrAddr());
-            const uint64_t n = ctx.read<uint64_t>(nBucketsAddr());
-            const Addr slot = buckets + 8 * (mix(key) & (n - 1));
-            Addr prev = 0;
-            for (Addr cur = ctx.read<Addr>(slot); cur != 0;
-                 cur = ctx.read<Addr>(cur + kNextOff)) {
-                if (ctx.read<uint64_t>(cur + kKeyOff) == key) {
-                    const Addr next = ctx.read<Addr>(cur + kNextOff);
-                    if (prev == 0)
-                        ctx.write<Addr>(slot, next);
-                    else
-                        ctx.write<Addr>(prev + kNextOff, next);
-                    // Return the space unit (always-commutative add).
-                    remaining_.increment(ctx, 1);
-                    found = true;
-                    return;
-                }
-                prev = cur;
-            }
-        });
-        if (!locked)
-            return found;
-        ctx.compute(128);
-    }
+    return inBucket(ctx, key, [&](Addr slot) {
+        Addr prev = 0;
+        const Addr node = findKey(ctx, slot, key, &prev);
+        if (!node)
+            return false;
+        const Addr next = ctx.read<Addr>(node + kNextOff);
+        ctx.write<Addr>(prev ? prev + kNextOff : slot, next);
+        // Return the space unit (always-commutative add).
+        remaining_.increment(ctx, 1);
+        return true;
+    });
 }
 
 void

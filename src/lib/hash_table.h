@@ -83,6 +83,15 @@ class ResizableHashMap
     Addr bucketsPtrAddr() const { return header_; }
     Addr nBucketsAddr() const { return header_ + 8; }
 
+    /** Run @p body(slot) on @p key's bucket slot in a transaction,
+     *  waiting out resizes; returns the committed attempt's result. */
+    template <typename Body>
+    bool inBucket(ThreadContext &ctx, uint64_t key, Body &&body);
+    /** The node holding @p key in the chain at @p slot, or 0; @p prev
+     *  (if non-null) receives its predecessor, 0 at the chain head. */
+    static Addr findKey(ThreadContext &ctx, Addr slot, uint64_t key,
+                        Addr *prev);
+
     void resize(ThreadContext &ctx);
 
     Machine &machine_;

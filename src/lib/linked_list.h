@@ -46,9 +46,6 @@ class CommList
     /** Collect all committed values (untimed verification helper). */
     std::vector<uint64_t> peekAll(Machine &machine) const;
 
-    Addr headAddr() const { return head_; }
-    Addr tailAddr() const { return tail_; }
-
     /** Node layout in simulated memory. */
     static constexpr uint32_t kValueOff = 0;
     static constexpr uint32_t kNextOff = 8;

@@ -44,7 +44,6 @@ class TopK
     /** Untimed committed contents, for host-side verification. */
     std::vector<int64_t> peekAll(Machine &machine) const;
 
-    Addr descAddr() const { return desc_; }
     uint32_t k() const { return k_; }
 
     // Descriptor layout.

@@ -167,9 +167,7 @@ MemorySystem::clearSpec(CoreId core, Addr line)
     if (PrivLine *e1 = findL1(core, line)) {
         e1->specRead = false;
         e1->specWrite = false;
-        e1->notedRead = false;
-        e1->notedWrite = false;
-        e1->notedLabeled = false;
+        e1->noted = 0;
     }
 }
 
@@ -380,19 +378,16 @@ MemorySystem::markSpec(const Access &req, Addr line, PrivLine *e1)
         e1->specRead = true;
     else
         e1->specWrite = true;
-    // Note each signature KIND once per line (notedRead/Write/Labeled
-    // are separate bits): gating on specRead/specWrite alone dropped
-    // the conventional read of a line whose labeled access came first
-    // — so a lazy-mode transaction's stale full-value read was
-    // invisible to commit-time arbitration (GridClaim fuzz wall).
+    // Note each KIND once per line (one noted bit per kind): gating
+    // on specRead/specWrite alone dropped the conventional read of a
+    // line whose labeled access came first — so a lazy-mode
+    // transaction's stale full-value read was invisible to
+    // commit-time arbitration (GridClaim fuzz wall).
     const SpecKind kind = labeled ? SpecKind::Labeled
                           : is_load ? SpecKind::Read
                                     : SpecKind::Write;
-    bool *noted = labeled ? &e1->notedLabeled
-                  : is_load ? &e1->notedRead
-                            : &e1->notedWrite;
-    if (!*noted) {
-        *noted = true;
+    if (!(e1->noted & specBit(kind))) {
+        e1->noted |= specBit(kind);
         htm_->noteSpecLine(req.core, line, kind);
     }
 }
@@ -432,6 +427,10 @@ isULine(const PrivLine &entry)
 void
 MemorySystem::dropPriv(CoreId core, Addr line)
 {
+    // The inclusive L2 holds every private copy.
+    const PrivLine *e2 = findL2(core, line);
+    if (e2 && e2->state == PrivState::M)
+        stats_.writebacks++;
     cores_[core]->l1.erase(line);
     cores_[core]->l2.erase(line);
 }
@@ -444,43 +443,39 @@ MemorySystem::removeUSharer(L3Line *e, CoreId core)
     cores_[core]->uCopies.erase(e->line);
 }
 
-void
-MemorySystem::onEvictL1(CoreId core, PrivLine &victim)
+bool
+MemorySystem::lossAborts(CoreId core, const PrivLine &l1) const
 {
-    // Evicting speculatively-accessed data from the L1 aborts the
-    // transaction (Sec. III-B1 capacity rule). Lazy mode tracks the
-    // conventional read/write sets in signatures, so residency is not
-    // required for those — but U-state (labeled) conflicts are
-    // detected eagerly in BOTH modes (docs/ARCHITECTURE.md Sec. 6),
-    // and that detection lives in the L1 entry's spec bits: evicting a
-    // spec U line would let a reduction merge this transaction's copy
-    // away without a battle, and the commit would then re-apply its
-    // buffered absolute bytes onto a fresh identity copy, minting
-    // value out of thin air (caught by the GridClaim fuzz wall under
-    // lazy + tiny caches).
-    if (victim.spec() && htm_->inTx(core) &&
-        (cfg_.conflictDetection == ConflictDetection::Eager ||
-         victim.state == PrivState::U))
+    // Losing speculatively-accessed data from the L1 aborts the
+    // transaction (Sec. III-B1 capacity rule), whichever level evicts
+    // it. Lazy mode tracks the conventional read/write sets in the
+    // transaction's footprint, so residency is not required for those
+    // — but U-state (labeled) conflicts are detected eagerly in BOTH
+    // modes (docs/ARCHITECTURE.md Sec. 6), and that detection lives in
+    // the L1 entry's spec bits: evicting a spec U line would let a
+    // reduction merge this transaction's copy away without a battle,
+    // and the commit would then re-apply its buffered absolute bytes
+    // onto a fresh identity copy, minting value out of thin air
+    // (caught by the GridClaim fuzz wall under lazy + tiny caches).
+    return l1.spec() && htm_->inTx(core) &&
+           (cfg_.conflictDetection == ConflictDetection::Eager ||
+            l1.state == PrivState::U);
+}
+
+void
+MemorySystem::onEvictL1(CoreId core, const PrivLine &victim)
+{
+    if (lossAborts(core, victim))
         htm_->remoteAbort(core, AbortCause::Capacity);
-    if (victim.dirty) {
-        if (PrivLine *e2 = findL2(core, victim.line))
-            e2->dirty = true;
-    }
-    // U lines stay resident in the L2; the U copy is untouched.
+    // The L2 keeps the line, and a U line its U copy.
 }
 
 void
 MemorySystem::onEvictL2(CoreId core, PrivLine &victim, Cycle &lat)
 {
-    // Back-invalidate the L1 (inclusive hierarchy). Same capacity
-    // rule as onEvictL1: U-state spec lines abort in BOTH detection
-    // modes — the labeled conflict detection lives in the L1 entry's
-    // spec bits, and dropping them silently would reopen the
-    // token-minting hazard on this path.
+    // Back-invalidate the L1 (inclusive hierarchy).
     if (PrivLine *e1 = findL1(core, victim.line)) {
-        if (e1->spec() && htm_->inTx(core) &&
-            (cfg_.conflictDetection == ConflictDetection::Eager ||
-             e1->state == PrivState::U))
+        if (lossAborts(core, *e1))
             htm_->remoteAbort(core, AbortCause::Capacity);
         cores_[core]->l1.erase(victim.line);
     }
@@ -491,7 +486,7 @@ MemorySystem::onEvictL2(CoreId core, PrivLine &victim, Cycle &lat)
     if (L3Line *e = l3_.lookup(victim.line)) {
         if (e->sharers.test(core)) {
             e->sharers.clear(core);
-            if (victim.dirty)
+            if (victim.state == PrivState::M)
                 stats_.writebacks++;
             if (!e->sharers.any() && e->dir != DirState::U)
                 e->dir = DirState::NonCached;
@@ -522,7 +517,7 @@ MemorySystem::uEvict(CoreId core, Addr line, Cycle &lat)
     e->sharers.clear(core);
 
     if (!e->sharers.any()) {
-        // Sole sharer: treated as a normal dirty writeback (Sec. III-B5).
+        // Sole sharer: written back like an M line (Sec. III-B5).
         memory_.writeLine(line, copy);
         e->dir = DirState::NonCached;
         e->label = kNoLabel;
@@ -572,7 +567,7 @@ MemorySystem::reserveWay(CoreId core, Addr line, bool l2, Cycle &lat)
 
 void
 MemorySystem::setPriv(CoreId core, Addr line, PrivState state, Label label,
-                      bool dirty, bool handler, Cycle &lat)
+                      bool handler, Cycle &lat)
 {
     assert(!(handler && state == PrivState::U));
     PerCore &pc = *cores_[core];
@@ -605,7 +600,6 @@ MemorySystem::setPriv(CoreId core, Addr line, PrivState state, Label label,
     }
     e2->state = state;
     e2->label = label;
-    e2->dirty = e2->dirty || dirty;
     pc.l2.touch(e2);
 
     bool evicted1 = false;
@@ -624,7 +618,6 @@ MemorySystem::setPriv(CoreId core, Addr line, PrivState state, Label label,
     }
     e1->state = state;
     e1->label = label;
-    e1->dirty = e1->dirty || dirty;
     pc.l1.touch(e1);
 
     // Deferred eviction side effects: run after the fills so handler
@@ -633,6 +626,23 @@ MemorySystem::setPriv(CoreId core, Addr line, PrivState state, Label label,
         onEvictL1(core, victim1);
     if (evicted2)
         onEvictL2(core, victim2, lat);
+}
+
+PrivState
+MemorySystem::setPrivState(CoreId core, Addr line, PrivState state,
+                           Label label)
+{
+    if (PrivLine *e1 = findL1(core, line)) {
+        e1->state = state;
+        e1->label = label;
+    }
+    PrivLine *e2 = findL2(core, line);
+    if (!e2)
+        return PrivState::I;
+    const PrivState prior = e2->state;
+    e2->state = state;
+    e2->label = label;
+    return prior;
 }
 
 void
@@ -697,16 +707,12 @@ MemorySystem::onEvictL3(L3Line &victim, Cycle &lat)
     }
     // Normal line: back-invalidate all private copies.
     victim.sharers.forEach([&](CoreId s) {
-        if (PrivLine *e1 = findL1(s, vline)) {
-            if (e1->spec() &&
-                cfg_.conflictDetection == ConflictDetection::Eager &&
-                htm_->inTx(s))
+        if (const PrivLine *e1 = findL1(s, vline)) {
+            if (lossAborts(s, *e1))
                 htm_->remoteAbort(s, AbortCause::Capacity);
         }
         dropPriv(s, vline);
     });
-    if (victim.dir == DirState::M)
-        stats_.writebacks++;
 }
 
 L3Line *
@@ -750,6 +756,17 @@ MemorySystem::getL3(const Access &req, Addr line, Cycle &lat)
 // Directory-side request handling
 // ---------------------------------------------------------------------
 
+void
+MemorySystem::grantSole(const Access &req, L3Line *e, PrivState state,
+                        Label label, AccessResult &res)
+{
+    e->dir = state == PrivState::U ? DirState::U : DirState::M;
+    e->label = label;
+    e->sharers.resetAll();
+    e->sharers.set(req.core);
+    setPriv(req.core, e->line, state, label, req.handler, res.latency);
+}
+
 bool
 MemorySystem::invalidateSharers(const Access &req, L3Line *e,
                                 InvalKind kind, AccessResult &res)
@@ -760,11 +777,7 @@ MemorySystem::invalidateSharers(const Access &req, L3Line *e,
     Cycle max_leg = 0;
     // Stack snapshot: battle() may mutate the sharer set, and a heap
     // vector per invalidation shows up in host time.
-    SharerList sharers;
-    e->sharers.forEach([&](CoreId s) {
-        if (s != c)
-            sharers.push(s);
-    });
+    const SharerList sharers(e->sharers, c);
     for (const CoreId s : sharers) {
         if (!battle(req, s, line, kind, res)) {
             nacked = true;
@@ -787,41 +800,27 @@ MemorySystem::handleGETS(const Access &req, L3Line *e, AccessResult &res)
     switch (e->dir) {
       case DirState::NonCached:
         // MESI: the first reader gets the line exclusive-clean.
-        e->dir = DirState::M;
-        e->sharers.resetAll();
-        e->sharers.set(c);
-        setPriv(c, line, PrivState::E, kNoLabel, false, req.handler,
-                res.latency);
+        grantSole(req, e, PrivState::E, kNoLabel, res);
         break;
       case DirState::S:
         e->sharers.set(c);
-        setPriv(c, line, PrivState::S, kNoLabel, false, req.handler,
-                res.latency);
+        setPriv(c, line, PrivState::S, kNoLabel, req.handler, res.latency);
         break;
       case DirState::M: {
         const CoreId owner = e->sharers.first();
         assert(owner != c && "exclusive holder would have hit locally");
         if (!battle(req, owner, line, InvalKind::ForRead, res))
             return;
-        // Downgrade the owner to S; it forwards the data.
-        if (PrivLine *oe1 = findL1(owner, line)) {
-            if (oe1->dirty)
-                stats_.writebacks++;
-            oe1->state = PrivState::S;
-            oe1->dirty = false;
-        }
-        if (PrivLine *oe2 = findL2(owner, line)) {
-            if (oe2->dirty)
-                stats_.writebacks++;
-            oe2->state = PrivState::S;
-            oe2->dirty = false;
-        }
+        // Downgrade the owner to S; it forwards the data, writing an
+        // M copy back on the way.
+        if (setPrivState(owner, line, PrivState::S, kNoLabel) ==
+            PrivState::M)
+            stats_.writebacks++;
         stats_.downgrades++;
         res.latency += noc_.coreToCore(owner, c);
         e->dir = DirState::S;
         e->sharers.set(c);
-        setPriv(c, line, PrivState::S, kNoLabel, false, req.handler,
-                res.latency);
+        setPriv(c, line, PrivState::S, kNoLabel, req.handler, res.latency);
         break;
       }
       case DirState::U:
@@ -838,36 +837,22 @@ MemorySystem::handleGETX(const Access &req, L3Line *e, AccessResult &res)
     const CoreId c = req.core;
     switch (e->dir) {
       case DirState::NonCached:
-        e->dir = DirState::M;
-        e->sharers.resetAll();
-        e->sharers.set(c);
-        setPriv(c, line, PrivState::M, kNoLabel, true, req.handler,
-                res.latency);
+        grantSole(req, e, PrivState::M, kNoLabel, res);
         break;
       case DirState::S:
         if (!invalidateSharers(req, e, InvalKind::ForWrite, res))
             return;
-        e->dir = DirState::M;
-        e->sharers.resetAll();
-        e->sharers.set(c);
-        setPriv(c, line, PrivState::M, kNoLabel, true, req.handler,
-                res.latency);
+        grantSole(req, e, PrivState::M, kNoLabel, res);
         break;
       case DirState::M: {
         const CoreId owner = e->sharers.first();
         assert(owner != c && "exclusive holder would have hit locally");
         if (!battle(req, owner, line, InvalKind::ForWrite, res))
             return;
-        const PrivLine *oe2 = findL2(owner, line);
-        if (oe2 && oe2->dirty)
-            stats_.writebacks++;
         dropPriv(owner, line);
         stats_.invalidations++;
         res.latency += noc_.coreToCore(owner, c);
-        e->sharers.resetAll();
-        e->sharers.set(c);
-        setPriv(c, line, PrivState::M, kNoLabel, true, req.handler,
-                res.latency);
+        grantSole(req, e, PrivState::M, kNoLabel, res);
         break;
       }
       case DirState::U:
@@ -890,22 +875,14 @@ MemorySystem::handleGETU(const Access &req, L3Line *e, AccessResult &res)
         // Case 1: no other private cache has the line; the directory
         // serves the data, which the requester absorbs into its U copy.
         pc.uCopies[line] = memory_.readLine(line);
-        e->dir = DirState::U;
-        e->label = l;
-        e->sharers.resetAll();
-        e->sharers.set(c);
-        setPriv(c, line, PrivState::U, l, false, false, res.latency);
+        grantSole(req, e, PrivState::U, l, res);
         break;
       case DirState::S:
         // Case 2: invalidate read-only sharers, then serve the data.
         if (!invalidateSharers(req, e, InvalKind::ForLabeled, res))
             return;
         pc.uCopies[line] = memory_.readLine(line);
-        e->dir = DirState::U;
-        e->label = l;
-        e->sharers.resetAll();
-        e->sharers.set(c);
-        setPriv(c, line, PrivState::U, l, false, false, res.latency);
+        grantSole(req, e, PrivState::U, l, res);
         break;
       case DirState::M: {
         // Case 5: downgrade the exclusive owner to U; it retains the
@@ -923,24 +900,16 @@ MemorySystem::handleGETU(const Access &req, L3Line *e, AccessResult &res)
         COMMTM_CHECK(e, "L3 entry for line 0x%llx vanished during "
                         "reserved-way eviction",
                      (unsigned long long)line);
+        // The owner's data stays in its U copy: no writeback.
         cores_[owner]->uCopies[line] = memory_.readLine(line);
-        if (PrivLine *oe1 = findL1(owner, line)) {
-            oe1->state = PrivState::U;
-            oe1->label = l;
-            oe1->dirty = false;
-        }
-        if (PrivLine *oe2 = findL2(owner, line)) {
-            oe2->state = PrivState::U;
-            oe2->label = l;
-            oe2->dirty = false;
-        }
+        setPrivState(owner, line, PrivState::U, l);
         stats_.downgrades++;
         res.latency += noc_.coreToBank(owner, cfg_.lineBank(line));
         pc.uCopies[line] = labels_.get(l).identity;
         e->dir = DirState::U;
         e->label = l;
         e->sharers.set(c);
-        setPriv(c, line, PrivState::U, l, false, false, res.latency);
+        setPriv(c, line, PrivState::U, l, false, res.latency);
         break;
       }
       case DirState::U:
@@ -949,7 +918,7 @@ MemorySystem::handleGETU(const Access &req, L3Line *e, AccessResult &res)
             assert(!e->sharers.test(c) && "sharer would have hit locally");
             pc.uCopies[line] = labels_.get(l).identity;
             e->sharers.set(c);
-            setPriv(c, line, PrivState::U, l, false, false, res.latency);
+            setPriv(c, line, PrivState::U, l, false, res.latency);
         } else {
             // Case 3: different label; reduce, then re-enter U relabeled.
             reduceLine(req, e, res, false, l);
@@ -989,11 +958,7 @@ MemorySystem::reduceLine(const Access &req, L3Line *e, AccessResult &res,
     bool nacked = false;
     Cycle max_leg = 0;
     HandlerCtx hctx(*this, c, res.latency);
-    SharerList others;
-    e->sharers.forEach([&](CoreId s) {
-        if (s != c)
-            others.push(s);
-    });
+    const SharerList others(e->sharers, c);
     for (const CoreId s : others) {
         if (!battle(req, s, line, InvalKind::ForReduction, res)) {
             nacked = true;
@@ -1027,8 +992,7 @@ MemorySystem::reduceLine(const Access &req, L3Line *e, AccessResult &res,
         if (have) {
             pc.uCopies[line] = acc;
             e->sharers.set(c);
-            setPriv(c, line, PrivState::U, old_label, false, false,
-                    res.latency);
+            setPriv(c, line, PrivState::U, old_label, false, res.latency);
         }
         return;
     }
@@ -1040,19 +1004,10 @@ MemorySystem::reduceLine(const Access &req, L3Line *e, AccessResult &res,
     if (to_m) {
         pc.uCopies.erase(line);
         memory_.writeLine(line, acc);
-        e->dir = DirState::M;
-        e->label = kNoLabel;
-        e->sharers.resetAll();
-        e->sharers.set(c);
-        setPriv(c, line, PrivState::M, kNoLabel, true, false, res.latency);
+        grantSole(req, e, PrivState::M, kNoLabel, res);
     } else {
         pc.uCopies[line] = acc;
-        e->dir = DirState::U;
-        e->label = new_label;
-        e->sharers.resetAll();
-        e->sharers.set(c);
-        setPriv(c, line, PrivState::U, new_label, false, false,
-                res.latency);
+        grantSole(req, e, PrivState::U, new_label, res);
     }
 }
 
@@ -1071,7 +1026,7 @@ MemorySystem::runGather(const Access &req, L3Line *e, AccessResult &res)
     // Refresh the requester's private entries up front: under cache
     // pressure the line may have fallen back to L2-only, and every exit
     // path below must leave it in the L1 for speculative tracking.
-    setPriv(c, line, PrivState::U, req.label, false, false, res.latency);
+    setPriv(c, line, PrivState::U, req.label, false, res.latency);
 
     const uint32_t num_sharers = e->sharers.count();
     if (num_sharers <= 1)
@@ -1080,11 +1035,7 @@ MemorySystem::runGather(const Access &req, L3Line *e, AccessResult &res)
     PerCore &pc = *cores_[c];
     HandlerCtx hctx(*this, c, res.latency);
     Cycle max_leg = 0;
-    SharerList others;
-    e->sharers.forEach([&](CoreId s) {
-        if (s != c)
-            others.push(s);
-    });
+    SharerList others(e->sharers, c);
     // Subset gathers (paper future work, Sec. IV): query only the N
     // sharers nearest the requester on the mesh.
     if (cfg_.gatherFanoutLimit != 0 &&
@@ -1125,7 +1076,7 @@ MemorySystem::runGather(const Access &req, L3Line *e, AccessResult &res)
     res.latency += max_leg;
     // Refresh the requester's private entries (it may only hold the line
     // in its L2 by now); speculative bits are preserved.
-    setPriv(c, line, PrivState::U, req.label, false, false, res.latency);
+    setPriv(c, line, PrivState::U, req.label, false, res.latency);
 }
 
 // ---------------------------------------------------------------------
@@ -1171,17 +1122,8 @@ MemorySystem::access(const Access &req)
     if (PrivLine *e1 = pc.l1.lookup(line)) {
         if (satisfiesLocally(*e1, req.op, req.label)) {
             pc.l1.touch(e1);
-            if (isStore(req.op)) {
-                if (e1->state == PrivState::E)
-                    e1->state = PrivState::M;
-                if (e1->state == PrivState::M)
-                    e1->dirty = true;
-                if (PrivLine *e2 = pc.l2.lookup(line)) {
-                    if (e2->state == PrivState::E)
-                        e2->state = PrivState::M;
-                    e2->dirty = e1->dirty || e2->dirty;
-                }
-            }
+            if (isStore(req.op) && e1->state == PrivState::E)
+                setPrivState(req.core, line, PrivState::M, kNoLabel);
             stats_.l1Hits++;
             if (req.isTx && !req.handler)
                 markSpec(req, line, e1);
@@ -1199,9 +1141,7 @@ MemorySystem::access(const Access &req)
             PrivState state = e2->state;
             if (isStore(req.op) && state == PrivState::E)
                 state = PrivState::M;
-            const bool dirty =
-                e2->dirty || (isStore(req.op) && state == PrivState::M);
-            setPriv(req.core, line, state, e2->label, dirty, req.handler,
+            setPriv(req.core, line, state, e2->label, req.handler,
                     res.latency);
             if (req.isTx && !req.handler)
                 markSpec(req, line);
@@ -1316,7 +1256,7 @@ MemorySystem::testFlipNotedBit(CoreId core, Addr line)
 {
     PrivLine *e1 = findL1(core, line);
     assert(e1);
-    e1->notedRead = !e1->notedRead;
+    e1->noted ^= specBit(SpecKind::Read);
 }
 
 void

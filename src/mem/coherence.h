@@ -50,9 +50,6 @@ struct Access {
     bool lazyWrite = false;
 };
 
-/** Which speculative set an access joined (HtmManager::noteSpecLine). */
-enum class SpecKind : uint8_t { Read, Write, Labeled };
-
 /** Outcome of an access: latency plus any abort the requester owes. */
 struct AccessResult {
     Cycle latency = 0;
@@ -205,6 +202,11 @@ class MemorySystem
      *  it with handleGETU first if needed). */
     void runGather(const Access &req, L3Line *e, AccessResult &res);
 
+    /** Make the requester @p e's one holder, in private @p state with
+     *  @p label: dir-U with @p label for a U grant, dir-M otherwise. */
+    void grantSole(const Access &req, L3Line *e, PrivState state,
+                   Label label, AccessResult &res);
+
     /** Invalidate every dir-S sharer of @p e except the requester
      *  (GETX, and GETU Case 2), charging the slowest leg. Returns
      *  false if any sharer NACKed (res.nackAbort is then set). */
@@ -240,7 +242,11 @@ class MemorySystem
     PrivLine *findL2(CoreId core, Addr line);
     /** Install/refresh (core, line) in both L1 and L2 with @p state. */
     void setPriv(CoreId core, Addr line, PrivState state, Label label,
-                 bool dirty, bool handler, Cycle &lat);
+                 bool handler, Cycle &lat);
+    /** Change (core, line)'s state and label in place, at every level
+     *  that holds it; returns the state it had. */
+    PrivState setPrivState(CoreId core, Addr line, PrivState state,
+                           Label label);
     /** Reserved-way rule (Sec. III-B4): evict LRU U lines from
      *  @p line's set in @p core's L2 (@p l2) or L1 until the set keeps
      *  a non-U way after @p line becomes U. */
@@ -249,7 +255,8 @@ class MemorySystem
         evict LRU U lines until each set keeps a non-U way
         (reserved-way rule, Sec. III-B4). */
     void reserveWayForU(CoreId core, Addr line, Cycle &lat);
-    /** Drop (core, line) from L1+L2 (invalidations, reductions). */
+    /** Drop (core, line) from L1+L2 (invalidations, reductions),
+     *  counting the writeback of an M copy. */
     void dropPriv(CoreId core, Addr line);
     /** Mark speculative bits for a transactional access. Pass the
      *  line's L1 entry when the caller already holds it (the L1-hit
@@ -258,7 +265,10 @@ class MemorySystem
                   PrivLine *e1 = nullptr);
 
     // Evictions.
-    void onEvictL1(CoreId core, PrivLine &victim);
+    /** Whether losing @p core's L1 entry @p l1 aborts its transaction
+     *  (Sec. III-B1 capacity rule). */
+    bool lossAborts(CoreId core, const PrivLine &l1) const;
+    void onEvictL1(CoreId core, const PrivLine &victim);
     void onEvictL2(CoreId core, PrivLine &victim, Cycle &lat);
     void onEvictL3(L3Line &victim, Cycle &lat);
     /** Sec. III-B5: evict a U line from a private hierarchy. */

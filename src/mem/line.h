@@ -16,7 +16,10 @@
 
 namespace commtm {
 
-/** Coherence state of a line in a private (L1/L2) cache. */
+/** Coherence state of a line in a private (L1/L2) cache. M is the
+ *  only state whose data may differ from the L3's: an M copy leaving
+ *  its owner (downgrade to S, invalidation, eviction) is the line's
+ *  one writeback. */
 enum class PrivState : uint8_t {
     I, //!< invalid
     S, //!< shared, read-only
@@ -27,6 +30,17 @@ enum class PrivState : uint8_t {
 
 const char *privStateName(PrivState state);
 
+/** Which speculative set an access joined (Sec. III-B): a transaction
+ *  tracks a read, a write and a labeled set. */
+enum class SpecKind : uint8_t { Read, Write, Labeled };
+
+/** @p kind's bit in a transaction footprint or a PrivLine::noted mask. */
+constexpr uint8_t
+specBit(SpecKind kind)
+{
+    return uint8_t(1u << unsigned(kind));
+}
+
 /** Entry of a private L1/L2 tag array. */
 struct PrivLine {
     Addr line = 0;
@@ -35,7 +49,6 @@ struct PrivLine {
 
     PrivState state = PrivState::I;
     Label label = kNoLabel; //!< meaningful when state == U
-    bool dirty = false;
     /**
      * Speculative-access bits (L1 only; Fig. 5). Whether they denote the
      * read/write set or the labeled set is inferred from the line state:
@@ -44,16 +57,15 @@ struct PrivLine {
     bool specRead = false;
     bool specWrite = false;
     /**
-     * Which Tx signature kinds this entry has reported (markSpec).
-     * One line can be in several kinds within one transaction — the
-     * conditionally-commutative fallback reads a line conventionally
-     * after labeled accesses, and the state transition (U -> M)
-     * changes what an access means — and lazy commit-time arbitration
-     * needs every kind recorded, not just the first.
+     * specBit mask of the kinds this entry has reported to the HTM
+     * (markSpec). One line can be in several kinds within one
+     * transaction — the conditionally-commutative fallback reads a
+     * line conventionally after labeled accesses, and the state
+     * transition (U -> M) changes what an access means — and lazy
+     * commit-time arbitration needs every kind recorded, not just the
+     * first.
      */
-    bool notedRead = false;
-    bool notedWrite = false;
-    bool notedLabeled = false;
+    uint8_t noted = 0;
 
     bool spec() const { return specRead || specWrite; }
 
@@ -62,12 +74,9 @@ struct PrivLine {
     {
         state = PrivState::I;
         label = kNoLabel;
-        dirty = false;
         specRead = false;
         specWrite = false;
-        notedRead = false;
-        notedWrite = false;
-        notedLabeled = false;
+        noted = 0;
     }
 };
 
@@ -284,6 +293,14 @@ class SharerList
     // order, so naming inline_.data() in the init-list would read
     // inline_ before its own initialization.
     SharerList() : cap_(Sharers::kInlineSharers) { data_ = inline_.data(); }
+    /** Snapshot of @p sharers without @p except (the requester). */
+    SharerList(const Sharers &sharers, CoreId except) : SharerList()
+    {
+        sharers.forEach([&](CoreId s) {
+            if (s != except)
+                push(s);
+        });
+    }
     SharerList(const SharerList &) = delete;
     SharerList &operator=(const SharerList &) = delete;
 

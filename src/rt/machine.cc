@@ -101,10 +101,8 @@ Machine::addThread(ThreadFn fn)
         *this, core, cfg_.seed ^ (0x1234567ull * (core + 1)));
     st.ctx->trace_ = trace_.get();
     ThreadContext *ctx = st.ctx.get();
-    st.fiber = std::make_unique<Fiber>([this, ctx, fn = std::move(fn)]() {
-        fn(*ctx);
-        ctx->finished_ = true;
-    });
+    st.fiber = std::make_unique<Fiber>(
+        [ctx, fn = std::move(fn)]() { fn(*ctx); });
     ctx->fiber_ = st.fiber.get();
     threads_.push_back(std::move(st));
     return *ctx;
@@ -115,7 +113,7 @@ Machine::liveThreads() const
 {
     uint32_t live = 0;
     for (const auto &t : threads_) {
-        if (!t.ctx->finished_)
+        if (!t.fiber->finished())
             live++;
     }
     return live;
@@ -124,7 +122,7 @@ Machine::liveThreads() const
 void
 Machine::readyPush(ThreadContext *t)
 {
-    assert(!t->finished_ && !t->blocked_);
+    assert(!t->fiber_->finished() && !t->blocked_);
     const ReadyEntry entry{t->nextCycle_, t->core_, t};
     size_t i = ready_.size();
     ready_.push_back(entry);
@@ -186,7 +184,7 @@ Machine::schedulerCrossCheck(const ThreadContext *picked,
     Cycle refSecond = kInfinity;
     for (const auto &t : threads_) {
         const ThreadContext *c = t.ctx.get();
-        if (c->finished_ || c->blocked_)
+        if (t.fiber->finished() || c->blocked_)
             continue;
         if (!ref) {
             ref = c;
@@ -223,7 +221,7 @@ Machine::run()
     ready_.reserve(threads_.size());
     for (const auto &t : threads_) {
         ThreadContext *c = t.ctx.get();
-        if (!c->finished_ && !c->blocked_)
+        if (!t.fiber->finished() && !c->blocked_)
             readyPush(c);
     }
     crossCheckCountdown_ = crossCheckEvery_;
@@ -256,7 +254,6 @@ Machine::run()
         best->fiber_->resume();
         current_ = nullptr;
         if (best->fiber_->finished()) {
-            best->finished_ = true;
             // A finishing thread may make a pending barrier releasable.
             checkBarrierRelease();
         } else if (!best->blocked_) {
@@ -311,7 +308,7 @@ Machine::checkBarrierRelease()
     // Count live threads that have not yet arrived.
     uint32_t pending = 0;
     for (const auto &t : threads_) {
-        if (!t.ctx->finished_ && !t.ctx->blocked_)
+        if (!t.fiber->finished() && !t.ctx->blocked_)
             pending++;
     }
     if (pending > 0)

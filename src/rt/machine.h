@@ -157,7 +157,8 @@ class ThreadContext
      *  body is expected to return; see txAborted()). */
     void checkDoomed();
     /** Record why the current attempt aborts; operations become
-     *  no-ops until txRun()'s retry loop observes the flag. */
+     *  no-ops until txRun()'s retry loop observes the flag. @p demote
+     *  marks the retry's labeled ops as demoted in the HTM. */
     void noteAbort(AbortCause cause, bool demote);
     /** Called per operation issued while the abort is pending; throws
      *  the AbortException fallback once the no-op budget is spent. */
@@ -192,7 +193,6 @@ class ThreadContext
 
     Fiber *fiber_ = nullptr;
     Cycle nextCycle_ = 0;
-    bool finished_ = false;
     bool blocked_ = false;
 
     bool inTx_ = false;
@@ -204,7 +204,6 @@ class ThreadContext
      *  if the old throw had already unwound the body. */
     bool txAbortPending_ = false;
     AbortCause abortCause_ = AbortCause::Explicit;
-    bool abortDemote_ = false;
     /** Operations issued since the abort latched; the exception
      *  fallback fires when it exceeds kAbortNoOpBudget. */
     uint32_t abortedOps_ = 0;
@@ -273,9 +272,6 @@ class Machine
 
     /** Zero all statistics (e.g., after a warm-up phase). */
     void resetStats();
-
-    /** Machine-wide statistics (coherence events). */
-    MachineStats &machineStats() { return machineStats_; }
 
   private:
     friend class ThreadContext;
@@ -402,7 +398,10 @@ ThreadContext::noteAbort(AbortCause cause, bool demote)
     assert(inTx_);
     txAbortPending_ = true;
     abortCause_ = cause;
-    abortDemote_ = demote;
+    // Every op until the retry is a no-op, so nothing reads the
+    // demotion before the retry that it is for.
+    if (demote)
+        machine_.htm().setDemoted(core_);
     abortedOps_ = 0;
 }
 
@@ -413,9 +412,9 @@ ThreadContext::abortedNoOp()
     // after a generous budget of no-op operations, force the unwind
     // the old way. Cooperative bodies never reach this; either way the
     // counters are identical, since no-op operations have no simulated
-    // effect.
+    // effect. A demotion is already recorded in the HTM.
     if (++abortedOps_ > kAbortNoOpBudget)
-        throw AbortException{abortCause_, abortDemote_};
+        throw AbortException{abortCause_};
 }
 
 inline void
@@ -729,8 +728,6 @@ ThreadContext::txRun(Body &&body)
         if (machine_.commitLog_)
             machine_.commitLog_->abortAttempt(core_);
         const Cycle backoff = htm.abortAttempt(core_, cause, rng_);
-        if (abortDemote_)
-            htm.setDemoted(core_);
         advance(backoff); // stall attributed to the wasted attempt
         stats.txAborted++;
         stats.abortsByCause[size_t(cause)]++;

@@ -102,24 +102,6 @@ OpenLoopFrontend::serviceLoop(ThreadContext &ctx, ThreadState &state)
     }
 }
 
-const LatencyHistogram &
-OpenLoopFrontend::measureHist(uint32_t thread) const
-{
-    return states_[thread].measure;
-}
-
-const LatencyHistogram &
-OpenLoopFrontend::warmupHist(uint32_t thread) const
-{
-    return states_[thread].warmup;
-}
-
-const ServiceStats &
-OpenLoopFrontend::serviceStats(uint32_t thread) const
-{
-    return states_[thread].service;
-}
-
 LatencyHistogram
 OpenLoopFrontend::mergedMeasure() const
 {

@@ -93,12 +93,6 @@ class OpenLoopFrontend
     /** Register the service threads with @p machine. */
     void attach(Machine &machine);
 
-    /** Per-thread measurement-window latency histogram. */
-    const LatencyHistogram &measureHist(uint32_t thread) const;
-    /** Per-thread warmup-window latency histogram. */
-    const LatencyHistogram &warmupHist(uint32_t thread) const;
-    const ServiceStats &serviceStats(uint32_t thread) const;
-
     /** Deterministic cross-thread merges (thread order). */
     LatencyHistogram mergedMeasure() const;
     LatencyHistogram mergedWarmup() const;

@@ -93,7 +93,7 @@ CommitLog::sealCommit(CoreId core, Cycle commit_cycle)
     rec.commitCycle = commit_cycle;
     rec.labeledShape = p.shape.value();
     rec.labeledValues = p.values.value();
-    rec.writeSet = p.writes.value();
+    rec.writeValues = p.writes.value();
     rec.labeledOps = p.labeledOps;
     rec.writeLines = p.writeLines;
     lastTxId_[core] = rec.txId;
@@ -160,9 +160,9 @@ CommitLog::diff(const std::vector<CommitRecord> &a,
             if (ra.labeledValues != rb.labeledValues)
                 return at("labeledValues", hex(ra.labeledValues),
                           hex(rb.labeledValues));
-            if (ra.writeSet != rb.writeSet)
-                return at("writeSet", hex(ra.writeSet),
-                          hex(rb.writeSet));
+            if (ra.writeValues != rb.writeValues)
+                return at("writeValues", hex(ra.writeValues),
+                          hex(rb.writeValues));
             if (ra.labeledOps != rb.labeledOps)
                 return at("labeledOps", std::to_string(ra.labeledOps),
                           std::to_string(rb.labeledOps));
@@ -215,9 +215,9 @@ CommitLog::diff(const std::vector<CommitRecord> &a,
             if (ra.labeledValues != rb.labeledValues)
                 return at("labeledValues", hex(ra.labeledValues),
                           hex(rb.labeledValues));
-            if (ra.writeSet != rb.writeSet)
-                return at("writeSet", hex(ra.writeSet),
-                          hex(rb.writeSet));
+            if (ra.writeValues != rb.writeValues)
+                return at("writeValues", hex(ra.writeValues),
+                          hex(rb.writeValues));
             if (ra.writeLines != rb.writeLines)
                 return at("writeLines", std::to_string(ra.writeLines),
                           std::to_string(rb.writeLines));

@@ -76,8 +76,8 @@ class FnvDigest
  * is comparable across eager and lazy runs of the same workload;
  * labeledValues additionally folds in store operand bytes (partial
  * values legitimately differ across modes, so it is only comparable
- * same-mode); writeSet covers the committed conventional write-buffer
- * entries (line, byte mask, masked bytes).
+ * same-mode); writeValues covers the committed conventional
+ * write-buffer entries (line, byte mask, masked bytes).
  */
 struct CommitRecord {
     uint64_t txId = 0;
@@ -86,7 +86,7 @@ struct CommitRecord {
     Cycle commitCycle = 0;
     uint64_t labeledShape = FnvDigest::kBasis;
     uint64_t labeledValues = FnvDigest::kBasis;
-    uint64_t writeSet = FnvDigest::kBasis;
+    uint64_t writeValues = FnvDigest::kBasis;
     uint32_t labeledOps = 0;
     uint32_t writeLines = 0;
 };

@@ -1,12 +1,11 @@
 /**
  * @file
- * Flat, open-addressed hash containers keyed by line address, used for
- * all speculative state on the simulator's hot path (per-core U copies,
- * transactional write-buffer lines, and the HTM's read/write/labeled
- * signature sets).
+ * Flat, open-addressed hash map keyed by line address, used for all
+ * speculative state on the simulator's hot path (per-core U copies,
+ * transactional write-buffer lines, and transaction footprints).
  *
- * Two properties matter here and distinguish these containers from
- * std::unordered_map/set:
+ * Two properties matter here and distinguish it from
+ * std::unordered_map:
  *
  *  1. Host speed: a line-address key needs one multiplicative hash and a
  *     linear probe over a contiguous array — no per-node allocation, no
@@ -396,32 +395,6 @@ class FlatLineMap
      *  every dereference. */
     uint64_t gen_ = 0;
 #endif
-};
-
-/** Set of line addresses with deterministic (ascending) iteration. */
-class FlatLineSet
-{
-  public:
-    void insert(Addr key) { map_[key] = Empty{}; }
-    bool contains(Addr key) const { return map_.contains(key); }
-    bool erase(Addr key) { return map_.erase(key); }
-    void clear() { map_.clear(); }
-    size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-
-    /** Visit members in ascending address order: fn(Addr). */
-    template <typename Fn>
-    void
-    forEachSorted(Fn &&fn) const
-    {
-        map_.forEachSorted([&](Addr key, const Empty &) { fn(key); });
-    }
-
-    std::vector<Addr> sortedKeys() const { return map_.sortedKeys(); }
-
-  private:
-    struct Empty {};
-    FlatLineMap<Empty> map_;
 };
 
 } // namespace commtm

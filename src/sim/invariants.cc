@@ -372,75 +372,78 @@ InvariantChecker::sweepHtm(std::vector<InvariantViolation> &out) const
             v.core = c;
             appendf(v.message,
                     "core=%u line=0x%llx active=%d doomed=%d "
-                    "sets[r/w/l]=%zu/%zu/%zu wb=%zu: %s",
+                    "footprint=%zu wb=%zu: %s",
                     c, (unsigned long long)line, int(tx.active),
-                    int(tx.doomed), tx.readSet.size(), tx.writeSet.size(),
-                    tx.labeledSet.size(), tx.wb.numLines(), what);
+                    int(tx.doomed), tx.footprint.size(), tx.wb.numLines(),
+                    what);
             out.push_back(std::move(v));
         };
 
         if (!live) {
             // Aborted (or absent) transactions release everything
             // immediately (HtmManager::remoteAbort / abortAttempt).
-            if (!tx.readSet.empty() || !tx.writeSet.empty() ||
-                !tx.labeledSet.empty() || !tx.wb.empty() ||
+            if (!tx.footprint.empty() || !tx.wb.empty() ||
                 !tx.specLines.empty()) {
                 add(InvariantKind::SpecStateLeak, 0,
                     "speculative state outlives its transaction");
             }
         } else {
             // Every buffered write line must have been arbitrated:
-            // commit applies wb lines, lazyArbitrate walks the write
-            // and labeled sets. A wb line in neither would publish
+            // commit applies wb lines, lazyArbitrate walks the written
+            // and labeled lines. A wb line in neither would publish
             // bytes no conflict check ever saw.
+            const uint8_t updated =
+                specBit(SpecKind::Write) | specBit(SpecKind::Labeled);
             tx.wb.forEach([&](Addr line, const WriteBuffer::Entry &) {
-                if (!tx.writeSet.contains(line) &&
-                    !tx.labeledSet.contains(line)) {
+                if (!(tx.kindsOf(line) & updated)) {
                     add(InvariantKind::WriteBufferNotInSet, line,
                         "write-buffer line outside write/labeled sets");
                 }
             });
+            // The release list holds each footprint line exactly once.
+            std::vector<Addr> release = tx.specLines;
+            std::sort(release.begin(), release.end());
+            if (release != tx.footprint.sortedKeys()) {
+                add(InvariantKind::SignatureSetMismatch, 0,
+                    "release list disagrees with the footprint");
+            }
         }
 
-        // L1 noted/spec bits vs. the signature sets (ARCHITECTURE
-        // Sec. 6: one line can be in several sets; each noted kind
-        // must be tracked, and bits must not outlive the tx).
-        std::vector<Addr> release = tx.specLines;
-        std::sort(release.begin(), release.end());
+        // L1 noted/spec bits vs. the footprint (ARCHITECTURE Sec. 6:
+        // one line can be in several sets; each noted kind must be
+        // tracked, and bits must not outlive the tx).
+        static constexpr struct {
+            SpecKind kind;
+            const char *missing;
+        } kNotedKinds[] = {
+            {SpecKind::Read, "notedRead line missing from the read set"},
+            {SpecKind::Write, "notedWrite line missing from the write set"},
+            {SpecKind::Labeled,
+             "notedLabeled line missing from the labeled set"},
+        };
         mem_.cores_[c]->l1.forEach([&](const PrivLine &v) {
-            const bool any_noted =
-                v.notedRead || v.notedWrite || v.notedLabeled;
-            if (!v.spec() && !any_noted)
+            if (!v.spec() && !v.noted)
                 return;
             if (!live) {
                 add(InvariantKind::SpecBitsOutsideTx, v.line,
                     "spec/noted bits with no live transaction");
                 return;
             }
-            if (v.notedRead && !tx.readSet.contains(v.line))
+            const uint8_t unrecorded = v.noted & ~tx.kindsOf(v.line);
+            for (const auto &k : kNotedKinds) {
+                if (unrecorded & specBit(k.kind))
+                    add(InvariantKind::SignatureSetMismatch, v.line,
+                        k.missing);
+            }
+            if ((v.noted & specBit(SpecKind::Read)) && !v.specRead)
                 add(InvariantKind::SignatureSetMismatch, v.line,
-                    "notedRead line missing from the read set");
-            if (v.notedWrite && !tx.writeSet.contains(v.line))
+                    "noted read without specRead");
+            if ((v.noted & specBit(SpecKind::Write)) && !v.specWrite)
                 add(InvariantKind::SignatureSetMismatch, v.line,
-                    "notedWrite line missing from the write set");
-            if (v.notedLabeled && !tx.labeledSet.contains(v.line))
-                add(InvariantKind::SignatureSetMismatch, v.line,
-                    "notedLabeled line missing from the labeled set");
-            if (v.notedRead && !v.specRead)
-                add(InvariantKind::SignatureSetMismatch, v.line,
-                    "notedRead without specRead");
-            if (v.notedWrite && !v.specWrite)
-                add(InvariantKind::SignatureSetMismatch, v.line,
-                    "notedWrite without specWrite");
-            if (v.spec() && !any_noted)
+                    "noted write without specWrite");
+            if (v.spec() && !v.noted)
                 add(InvariantKind::SignatureSetMismatch, v.line,
                     "spec bits never reported to the HTM");
-            if (v.spec() &&
-                !std::binary_search(release.begin(), release.end(),
-                                    v.line)) {
-                add(InvariantKind::SignatureSetMismatch, v.line,
-                    "spec-bit line missing from the release list");
-            }
         });
     }
 }

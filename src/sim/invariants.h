@@ -68,16 +68,16 @@ enum class InvariantKind : uint8_t {
     InclusionViolation,
     /** Speculative or noted bits on a core with no live transaction. */
     SpecBitsOutsideTx,
-    /** An L1 noted bit whose line is missing from the corresponding
-     *  signature set (docs/ARCHITECTURE.md Sec. 6), or noted/spec bits
-     *  that disagree with each other, or a spec-bit line missing from
-     *  the release list (specLines). */
+    /** An L1 noted kind missing from its line's footprint entry
+     *  (docs/ARCHITECTURE.md Sec. 6), noted/spec bits that disagree
+     *  with each other, or a release list (specLines) that does not
+     *  hold each footprint line exactly once. */
     SignatureSetMismatch,
-    /** A write-buffer line outside the write and labeled sets: its
-     *  bytes would commit without ever being arbitrated. */
+    /** A write-buffer line the footprint holds neither written nor
+     *  labeled: its bytes would commit without ever being arbitrated. */
     WriteBufferNotInSet,
-    /** Speculative sets or write buffer still populated on a core with
-     *  no active transaction (release leak). */
+    /** Footprint, release list or write buffer still populated on a
+     *  core with no active transaction (release leak). */
     SpecStateLeak,
     /** The handler -> access() re-entry exceeded depth one. */
     HandlerDepthExceeded,

@@ -80,7 +80,6 @@ class LatencyHistogram
     }
 
     uint64_t totalCount() const { return total_; }
-    uint64_t bucketCount(uint32_t index) const { return counts_[index]; }
 
     /**
      * Upper bound of the bucket holding the @p permille -th

@@ -101,9 +101,6 @@ class SimMemory
         write(lineBase(line), data.data(), kLineSize);
     }
 
-    /** Drop all contents (used between experiment repetitions). */
-    void clear() { pages_.clear(); }
-
   private:
     using Page = std::array<uint8_t, kPageSize>;
 

@@ -135,6 +135,57 @@ TEST_F(CoherenceTest, SilentEToMUpgradeOnLocalStore)
     EXPECT_EQ(stats_.totalL3Gets(), gets_before); // no dir traffic
 }
 
+TEST_F(CoherenceTest, WritebackCountsOnlyModifiedCopiesLeavingOwner)
+{
+    const Addr a = kLine, b = kLine + 0x1000, c = kLine + 0x2000;
+    // A clean E owner downgraded to S writes nothing back.
+    access(0, a, MemOp::Load);
+    access(1, a, MemOp::Load);
+    EXPECT_EQ(stats_.writebacks, 0u);
+    // An M owner downgraded to S, or invalidated, writes back once.
+    access(0, b, MemOp::Store);
+    access(1, b, MemOp::Load);
+    EXPECT_EQ(stats_.writebacks, 1u);
+    access(0, c, MemOp::Store);
+    access(1, c, MemOp::Store);
+    EXPECT_EQ(stats_.writebacks, 2u);
+    // GETU Case 5: the M owner's data stays in its U copy.
+    access(2, c, MemOp::LabeledStore, add_);
+    EXPECT_EQ(mem_->privState(1, lineAddr(c)), PrivState::U);
+    EXPECT_EQ(stats_.writebacks, 2u);
+}
+
+TEST_F(CoherenceTest, L3EvictionWritesBackOnlyModifiedOwners)
+{
+    SimMemory memory2;
+    MachineStats stats2;
+    Rng rng2(3);
+    MachineConfig geom;
+    geom.numCores = 1;
+    geom.l3SizeKB = 1; // 16 lines, 2 ways -> 8 sets
+    geom.l3Ways = 2;
+    LabelRegistry reg(geom.hwLabels);
+    MemorySystem ms(geom, memory2, reg, stats2, rng2);
+    HtmManager htm(geom, ms, memory2);
+    const auto issue = [&](Addr line, MemOp op) {
+        Access a;
+        a.addr = lineBase(line);
+        a.op = op;
+        ms.access(a);
+    };
+    // Lines 8 apart share an L3 set; a third fill evicts the LRU one
+    // and back-invalidates its owner.
+    const Addr line = lineAddr(0x500000);
+    issue(line, MemOp::Load); // E
+    issue(line + 8, MemOp::Store);
+    issue(line + 16, MemOp::Store);
+    ASSERT_EQ(ms.privState(0, line), PrivState::I);
+    EXPECT_EQ(stats2.writebacks, 0u);
+    issue(line + 24, MemOp::Store); // evicts line + 8, held in M
+    ASSERT_EQ(ms.privState(0, line + 8), PrivState::I);
+    EXPECT_EQ(stats2.writebacks, 1u);
+}
+
 // --- The five GETU cases (Sec. III-B3) ---
 
 TEST_F(CoherenceTest, GetuCase1_NoSharers_ServesData)
@@ -580,11 +631,11 @@ TEST_F(CoherenceTest, StoreHittingExclusiveL2LineUpgradesBothLevels)
     std::vector<InvariantViolation> violations;
     EXPECT_EQ(checker.sweep(violations), 0u)
         << (violations.empty() ? "" : violations[0].message);
-    // Both levels are dirty: a remote read downgrades the owner and
-    // counts one writeback per dirty level.
+    // Both levels hold the line in M: a remote read downgrades the
+    // owner and writes the line back once.
     const uint64_t writebacks = stats2.writebacks;
     issue(1, base, MemOp::Load);
-    EXPECT_EQ(stats2.writebacks, writebacks + 2);
+    EXPECT_EQ(stats2.writebacks, writebacks + 1);
     EXPECT_EQ(ms.privState(0, line), PrivState::S);
 }
 

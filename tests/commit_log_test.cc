@@ -110,7 +110,7 @@ TEST(CommitLog, PinnedDigestsForTwoCoreEagerRun)
     values0.bytes(&stored, sizeof(stored));
     EXPECT_EQ(r0.labeledShape, shape0.value());
     EXPECT_EQ(r0.labeledValues, values0.value());
-    EXPECT_EQ(r0.writeSet, FnvDigest::kBasis);
+    EXPECT_EQ(r0.writeValues, FnvDigest::kBasis);
 
     FnvDigest writes1;
     writes1.u64(lineAddr(b));
@@ -120,13 +120,13 @@ TEST(CommitLog, PinnedDigestsForTwoCoreEagerRun)
         writes1.u8(uint8_t(wval >> (8 * i)));
     EXPECT_EQ(r1.labeledShape, FnvDigest::kBasis);
     EXPECT_EQ(r1.labeledValues, FnvDigest::kBasis);
-    EXPECT_EQ(r1.writeSet, writes1.value());
+    EXPECT_EQ(r1.writeValues, writes1.value());
 
     FnvDigest shape2;
     foldShape(shape2, kLabeledLoadKind, a, add, 8);
     EXPECT_EQ(r2.labeledShape, shape2.value());
     EXPECT_EQ(r2.labeledValues, shape2.value()); // load: no operand
-    EXPECT_EQ(r2.writeSet, FnvDigest::kBasis);
+    EXPECT_EQ(r2.writeValues, FnvDigest::kBasis);
 
     // Pinned values: the digest definition (FNV-1a over LE-encoded
     // fields), the allocator base, and label numbering are all
@@ -136,7 +136,7 @@ TEST(CommitLog, PinnedDigestsForTwoCoreEagerRun)
     EXPECT_EQ(add, Label(0));
     EXPECT_EQ(r0.labeledShape, 0x4fe51f6bffd14b10ull);
     EXPECT_EQ(r0.labeledValues, 0xcba0cb017a2853f7ull);
-    EXPECT_EQ(r1.writeSet, 0x23a2a8423c6786ffull);
+    EXPECT_EQ(r1.writeValues, 0x23a2a8423c6786ffull);
     EXPECT_EQ(r2.labeledShape, 0x5d0f511f8a7ddd5aull);
     EXPECT_EQ(FnvDigest::kBasis, 0xcbf29ce484222325ull);
 }

@@ -86,9 +86,9 @@ TEST(Determinism, EagerCounterMicroIsSeedDeterministic)
 
 TEST(Determinism, LazyArbitrationIsSeedDeterministic)
 {
-    // Lazy mode walks write sets at commit to pick abort victims; the
-    // walk is over FlatLineSet in address order, so two runs agree on
-    // every victim and cause.
+    // Lazy mode walks the committer's footprint at commit to pick
+    // abort victims; the walk is in address order, so two runs agree
+    // on every victim and cause.
     MachineConfig cfg;
     cfg.mode = SystemMode::BaselineHtm;
     cfg.conflictDetection = ConflictDetection::Lazy;

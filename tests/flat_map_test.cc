@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the flat, deterministic line-address containers
- * (sim/flat_map.h) and the WriteBuffer rebuilt on top of them —
+ * Unit tests for the flat, deterministic line-address map
+ * (sim/flat_map.h) and the WriteBuffer built on top of it —
  * including the regression for the cross-line write that used to
  * memcpy past the 64-byte entry.
  */
@@ -106,24 +106,6 @@ TEST(FlatLineMap, MatchesReferenceUnderRandomOps)
     for (const auto &[k, v] : ref)
         ref_keys.push_back(k);
     EXPECT_EQ(flat.sortedKeys(), ref_keys);
-}
-
-TEST(FlatLineSet, Basics)
-{
-    FlatLineSet s;
-    s.insert(5);
-    s.insert(3);
-    s.insert(5); // idempotent
-    EXPECT_EQ(s.size(), 2u);
-    EXPECT_TRUE(s.contains(3));
-    EXPECT_FALSE(s.contains(4));
-    std::vector<Addr> seen;
-    s.forEachSorted([&](Addr k) { seen.push_back(k); });
-    EXPECT_EQ(seen, (std::vector<Addr>{3, 5}));
-    EXPECT_TRUE(s.erase(3));
-    EXPECT_FALSE(s.contains(3));
-    s.clear();
-    EXPECT_TRUE(s.empty());
 }
 
 // ---------------------------------------------------------------------

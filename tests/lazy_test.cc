@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/kmeans.h"
+#include "apps/micro.h"
+#include "htm/htm.h"
 #include "lib/counter.h"
 #include "lib/linked_list.h"
 #include "rt/machine.h"
@@ -180,6 +183,86 @@ TEST(Lazy, ListStaysCorrectUnderLazyDetection)
     for (auto n : net)
         expected += n;
     EXPECT_EQ(int64_t(list.peekSize(m)), expected);
+}
+
+/**
+ * Commit-time arbitration's cause rules, driven through a real
+ * HtmManager with no runtime (as coherence_test does). Core 0 writes
+ * lines a and b and updates c labeled; cores 1-7 hold one footprint
+ * each when core 0 commits. A victim's cause comes from the lowest
+ * committer line it conflicts on, ranked write, then read, then
+ * labeled; the committer's labeled updates conflict with conventional
+ * readers and writers only.
+ */
+TEST(Lazy, ArbitrationCausePerVictimFootprint)
+{
+    MachineConfig cfg = lazyCfg(SystemMode::CommTm);
+    SimMemory memory;
+    MachineStats stats;
+    Rng rng(1);
+    LabelRegistry labels(cfg.hwLabels);
+    MemorySystem mem(cfg, memory, labels, stats, rng);
+    HtmManager htm(cfg, mem, memory);
+
+    const Addr a = lineAddr(0x10000);
+    const Addr b = lineAddr(0x20000);
+    const Addr c = lineAddr(0x30000);
+    const Addr d = lineAddr(0x40000);
+    for (CoreId core = 0; core < 8; core++)
+        htm.beginAttempt(core);
+    htm.noteSpecLine(0, a, SpecKind::Write);
+    htm.noteSpecLine(0, b, SpecKind::Write);
+    htm.noteSpecLine(0, c, SpecKind::Labeled);
+    htm.noteSpecLine(1, a, SpecKind::Read);
+    htm.noteSpecLine(1, a, SpecKind::Write);
+    htm.noteSpecLine(2, a, SpecKind::Read);
+    htm.noteSpecLine(3, a, SpecKind::Labeled);
+    htm.noteSpecLine(4, c, SpecKind::Read);
+    htm.noteSpecLine(5, c, SpecKind::Labeled);
+    htm.noteSpecLine(6, b, SpecKind::Write);
+    htm.noteSpecLine(6, a, SpecKind::Labeled);
+    htm.noteSpecLine(7, d, SpecKind::Read);
+    htm.commit(0);
+
+    const auto doomed_by = [&](CoreId core, AbortCause cause) {
+        return htm.doomed(core) && htm.doomCause(core) == cause;
+    };
+    EXPECT_TRUE(doomed_by(1, AbortCause::WriteAfterWrite));
+    EXPECT_TRUE(doomed_by(2, AbortCause::WriteAfterRead));
+    EXPECT_TRUE(doomed_by(3, AbortCause::LabeledConflict));
+    EXPECT_TRUE(doomed_by(4, AbortCause::LabeledConflict));
+    EXPECT_FALSE(htm.doomed(5)); // labeled updates commute
+    EXPECT_TRUE(doomed_by(6, AbortCause::LabeledConflict));
+    EXPECT_FALSE(htm.doomed(7));
+}
+
+/** Abort causes of the conventional HTM's lazy ext_lazy rows: the
+ *  rows pin only total aborts, and write-after-write and labeled
+ *  aborts share one waste column. */
+TEST(Lazy, BaselineAbortCausesArePinned)
+{
+    MachineConfig cfg;
+    cfg.mode = SystemMode::BaselineHtm;
+    cfg.conflictDetection = ConflictDetection::Lazy;
+    const auto expect = [](uint64_t war, uint64_t waw) {
+        decltype(ThreadStats::abortsByCause) causes{};
+        causes[size_t(AbortCause::WriteAfterRead)] = war;
+        causes[size_t(AbortCause::WriteAfterWrite)] = waw;
+        return causes;
+    };
+
+    const MicroResult counter = runCounterMicro(cfg, 64, 12000);
+    ASSERT_TRUE(counter.valid);
+    EXPECT_EQ(counter.stats.aggregateThreads().abortsByCause,
+              expect(142, 795));
+
+    KmeansConfig km;
+    km.numPoints = 1024;
+    km.maxIters = 3;
+    const KmeansResult kmeans = runKmeans(cfg, 64, km);
+    ASSERT_TRUE(kmeans.valid(km.numPoints));
+    EXPECT_EQ(kmeans.stats.aggregateThreads().abortsByCause,
+              expect(1403, 2581));
 }
 
 } // namespace
